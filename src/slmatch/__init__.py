@@ -70,6 +70,7 @@ from .spectral import (
     quotient_matrix,
     r_of_n,
     signless_laplacian,
+    signless_laplacians,
     spectral_radius,
 )
 from .verify import (
@@ -81,6 +82,7 @@ from .verify import (
     CorpusSummary,
     VerdictRecord,
     check_graph,
+    check_graphs,
     run_exhaustive,
     run_random,
     run_stream,

@@ -12,7 +12,7 @@ from math import comb
 from typing import Iterator
 
 from .errors import CapacityError, InputError, SamplingError
-from .graph import Graph, is_connected
+from .graph import Graph, component_masks, is_connected
 from .graph6 import pair_index_order
 
 _MAX_EXHAUSTIVE = 7
@@ -62,20 +62,10 @@ def all_connected(n: int) -> Iterator[Graph]:
                 adj[j] |= 1 << i
             m >>= 1
             k += 1
-        # inline connectivity: expand from vertex 0
-        comp = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nxt |= adj[b.bit_length() - 1]
-                f ^= b
-            frontier = nxt & ~comp
-            comp |= frontier
-        if comp == full:
-            yield Graph(n, tuple(adj))
+        adj = tuple(adj)
+        # the first component found is the one holding vertex 0
+        if next(component_masks(adj, full)) == full:
+            yield Graph(n, adj)
 
 
 @lru_cache(maxsize=None)

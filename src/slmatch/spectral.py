@@ -1,8 +1,12 @@
 """Signless Laplacian matrices, spectral radii, quotient matrices, and the
 threshold functions of the perfect-matching condition.
 
-Matrices are plain numpy arrays.  A partition of matrix indices is an ordered
-sequence of disjoint, nonempty index collections covering 0..order-1.
+Matrices are plain numpy arrays.  Every spectral radius comes from one
+LAPACK path: `eigvalsh` for symmetric input, `eigvals` otherwise, applied to
+one matrix or, in a single call, to a (B, n, n) stack of same-order matrices
+such as the signless Laplacians of a batch of graphs.  A partition of matrix
+indices is an ordered sequence of disjoint, nonempty index collections
+covering 0..order-1.
 """
 
 from __future__ import annotations
@@ -17,29 +21,36 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .graph import Graph
 
-DEFAULT_TOL = 1e-10
 
-_MAX_SQUARINGS = 60
-_POLISH_ITERATIONS = 200
+def signless_laplacians(graphs: Sequence[Graph]) -> np.ndarray:
+    """Stacked Q = D + A of B >= 1 graphs of one order, a (B, n, n) array.
+
+    Row v's mask, written little-endian by `int.to_bytes`, holds A[v, u] at
+    bit u, so `np.unpackbits` expands all rows at once; row sums give D.
+    """
+    if not graphs or any(G.n != graphs[0].n for G in graphs):
+        raise InputError("expected one or more graphs, all of one order")
+    n = graphs[0].n
+    width = (n + 7) // 8
+    raw = b"".join([m.to_bytes(width, "little") for G in graphs for m in G.adjacency_masks()])
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    Q = bits.reshape(len(graphs), n, 8 * width)[:, :, :n].astype(float)
+    diagonal = np.arange(n)
+    Q[:, diagonal, diagonal] = Q.sum(axis=2)
+    return Q
 
 
 def signless_laplacian(G: Graph) -> np.ndarray:
     """Degree-diagonal plus adjacency matrix of G (symmetric, nonnegative)."""
-    n = G.n
-    Q = np.zeros((n, n))
-    for v in range(n):
-        nbrs = G.neighbors(v)
-        Q[v, nbrs] = 1.0
-        Q[v, v] = len(nbrs)
-    return Q
+    return signless_laplacians([G])[0]
 
 
 def _validate_nonnegative_square(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {M.shape}")
-    if M.shape[0] == 0:
-        raise InputError("matrix order must be at least 1")
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+        raise InputError(f"expected a square matrix or a stack of them, got shape {M.shape}")
+    if M.size == 0:
+        raise InputError("matrix order and stack size must be at least 1")
     if not np.all(np.isfinite(M)):
         raise InputError("matrix entries must be finite")
     if M.min() < 0:
@@ -47,62 +58,25 @@ def _validate_nonnegative_square(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def spectral_radius(M: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """Largest eigenvalue of a nonnegative square matrix.
+def spectral_radius(M: np.ndarray) -> float | np.ndarray:
+    """Largest eigenvalue of a nonnegative square matrix, by LAPACK.
 
-    Power method with a fixed positive start vector, accelerated by repeated
-    squaring of the iteration matrix; the result is certified by the residual
-    ||Mx - lam*x||_inf <= tol * max(1, lam).  If certification fails the full
-    dense eigensolver is used instead.
+    A float for one (n, n) matrix; for a (B, n, n) stack, an array of the B
+    radii from one stacked call.  Symmetric input goes to `eigvalsh`.
+    Otherwise (the quotient templates) every eigenvalue comes from `eigvals`,
+    and the Perron root of a nonnegative matrix has the largest real part.
     """
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
     M = _validate_nonnegative_square(M)
-    n = M.shape[0]
-    if n == 1:
-        return float(M[0, 0])
-    scale = float(M.max())
-    if scale == 0.0:
-        return 0.0
-
-    P = M / scale
-    prev = None
-    for _ in range(_MAX_SQUARINGS):
-        P = P @ P
-        top = float(np.abs(P).max())
-        if top == 0.0 or not math.isfinite(top):
-            break
-        P = P / top
-        if prev is not None and float(np.abs(P - prev).max()) <= 1e-15:
-            break
-        prev = P
-
-    # positive start vector cannot be orthogonal to the Perron direction
-    start = np.ones(n) + np.linspace(0.0, 1e-8, n)
-    x = P @ start
-    norm = float(np.linalg.norm(x))
-    x = start / float(np.linalg.norm(start)) if norm == 0.0 else x / norm
-
-    lam = 0.0
-    for _ in range(_POLISH_ITERATIONS):
-        y = M @ x
-        lam = float(x @ y)
-        if float(np.abs(y - lam * x).max()) <= tol * max(1.0, abs(lam)):
-            return lam
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            return 0.0
-        x = y / ny
-
-    # certification failed (tiny spectral gap or an oscillating direction)
-    if float(np.abs(M - M.T).max()) <= 1e-12 * max(1.0, scale):
-        return float(np.linalg.eigvalsh(M)[-1])
-    return float(np.linalg.eigvals(M).real.max())
+    if np.array_equal(M, np.swapaxes(M, -1, -2)):
+        radii = np.linalg.eigvalsh(M)[..., -1]
+    else:
+        radii = np.linalg.eigvals(M).real.max(axis=-1)
+    return float(radii) if M.ndim == 2 else radii
 
 
-def q1(G: Graph, tol: float = DEFAULT_TOL) -> float:
-    """Signless Laplacian spectral radius of G."""
-    return spectral_radius(signless_laplacian(G), tol)
+def q1(G: Graph) -> float:
+    """Signless Laplacian spectral radius of G: the one-graph stack."""
+    return float(spectral_radius(signless_laplacians([G]))[0])
 
 
 def check_partition(classes: Sequence[Sequence[int]], order: int) -> list[list[int]]:

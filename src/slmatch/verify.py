@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import multiprocessing
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from dataclasses import dataclass, field, replace
+from itertools import chain, groupby
+from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import HypothesisError, InputError
 from .generate import all_connected, connected_graph_count
@@ -30,7 +31,7 @@ from .graph import (
 )
 from .graph6 import ParseFailure, encode_graph6, read_stream, write_jsonl
 from .matching import maximum_matching
-from .spectral import edge_threshold, q1, q1_threshold
+from .spectral import edge_threshold, q1, q1_threshold, signless_laplacians, spectral_radius
 
 EPSILON = 1e-8
 
@@ -80,19 +81,28 @@ class VerdictRecord:
         return self.edges > self.edge_threshold and not self.has_pm
 
 
-def check_graph(G: Graph, graph6_line: str | None = None) -> VerdictRecord:
-    """Evaluate both conditions on one connected graph of even order >= 4."""
-    n = G.n
-    if n < 4:
-        raise HypothesisError("order-too-small", f"need n >= 4, got {n}")
-    if n % 2:
-        raise HypothesisError("odd-order", f"need even order, got {n}")
-    if not is_connected(G):
-        raise HypothesisError("disconnected", "need a connected graph")
+# Largest B*n*n a stacked eigvalsh call (and a chunk of graphs) may hold:
+# 2^14 float64 entries is 128 KiB, so peak memory does not grow with B.
+_BATCH_ENTRIES = 1 << 14
 
-    radius = q1(G)
+
+def _chunks(graphs: Iterable[Graph]) -> Iterator[list[Graph]]:
+    """Consecutive graphs with sum(n^2) <= _BATCH_ENTRIES, or one graph."""
+    chunk: list[Graph] = []
+    entries = 0
+    for G in graphs:
+        if chunk and entries + G.n * G.n > _BATCH_ENTRIES:
+            yield chunk
+            chunk, entries = [], 0
+        chunk.append(G)
+        entries += G.n * G.n
+    if chunk:
+        yield chunk
+
+
+def _record(G: Graph, radius: float) -> VerdictRecord:
+    n = G.n
     threshold = q1_threshold(n)
-    ethreshold = edge_threshold(n)
     matching = maximum_matching(G)
     has_pm = 2 * matching.size == n
     witness = None
@@ -110,16 +120,42 @@ def check_graph(G: Graph, graph6_line: str | None = None) -> VerdictRecord:
         verdict = VERDICT_HYPOTHESIS
 
     return VerdictRecord(
-        graph6=encode_graph6(G) if graph6_line is None else graph6_line,
+        graph6=encode_graph6(G),
         n=n,
         edges=G.edge_count,
         q1=radius,
         q1_threshold=threshold,
-        edge_threshold=ethreshold,
+        edge_threshold=edge_threshold(n),
         has_pm=has_pm,
         verdict=verdict,
         witness=witness,
     )
+
+
+def check_graphs(graphs: Sequence[Graph]) -> list[VerdictRecord]:
+    """Evaluate both conditions on each graph, hypotheses first for all of
+    them; then each run of consecutive same-order graphs within a chunk
+    shares one stacked eigensolver call.  Input order is kept."""
+    for G in graphs:
+        if G.n < 4:
+            raise HypothesisError("order-too-small", f"need n >= 4, got {G.n}")
+        if G.n % 2:
+            raise HypothesisError("odd-order", f"need even order, got {G.n}")
+        if not is_connected(G):
+            raise HypothesisError("disconnected", "need a connected graph")
+    records: list[VerdictRecord] = []
+    for chunk in _chunks(graphs):
+        for _, group in groupby(chunk, key=lambda G: G.n):
+            run = list(group)
+            radii = spectral_radius(signless_laplacians(run)).tolist()
+            records.extend(map(_record, run, radii))
+    return records
+
+
+def check_graph(G: Graph, graph6_line: str | None = None) -> VerdictRecord:
+    """Evaluate both conditions on one connected graph of even order >= 4."""
+    record = check_graphs([G])[0]
+    return record if graph6_line is None else replace(record, graph6=graph6_line)
 
 
 @dataclass
@@ -153,18 +189,13 @@ class CorpusSummary:
         return 0 if self.clean else 1
 
 
-def _record_for_graph(G: Graph) -> VerdictRecord:
-    return check_graph(G)
-
-
 def _iter_records(graphs: Iterable[Graph], jobs: int, stable: bool) -> Iterator[VerdictRecord]:
     if jobs <= 1:
-        for G in graphs:
-            yield check_graph(G)
+        yield from chain.from_iterable(map(check_graphs, _chunks(graphs)))
         return
     with multiprocessing.Pool(jobs) as pool:
         mapper = pool.imap if stable else pool.imap_unordered
-        yield from mapper(_record_for_graph, graphs, 64)
+        yield from chain.from_iterable(mapper(check_graphs, _chunks(graphs)))
 
 
 def _absorb_all(

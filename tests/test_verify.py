@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import random
 
 import pytest
 
@@ -18,19 +19,22 @@ from slmatch import (
     build_graph,
     check_graph,
     complete_graph,
+    decode_graph6,
     delete_vertices,
     empty_graph,
     encode_graph6,
     extremal_h,
+    is_connected,
     join,
     odd_components,
     run_exhaustive,
     run_random,
     run_stream,
+    sample_connected,
     sharpness_graph,
     sharpness_report,
 )
-from slmatch.verify import JSONL_FIELDS, VerdictRecord
+from slmatch.verify import _BATCH_ENTRIES, JSONL_FIELDS, VerdictRecord, check_graphs
 
 
 def test_check_graph_k4():
@@ -41,6 +45,7 @@ def test_check_graph_k4():
     assert record.q1_threshold == pytest.approx(4.0, abs=1e-9)
     assert record.edges == 6 and record.edge_threshold == 3
     assert record.graph6 == "C~"
+    assert check_graph(complete_graph(4), graph6_line=">>graph6<<C~").graph6 == ">>graph6<<C~"
 
 
 def test_check_graph_below_threshold():
@@ -69,6 +74,59 @@ def test_check_graph_hypothesis_errors():
     with pytest.raises(HypothesisError) as err:
         check_graph(complete_graph(2))
     assert err.value.reason == "order-too-small"
+
+
+def test_check_graphs_validates_before_eigen_work():
+    with pytest.raises(HypothesisError) as err:
+        check_graphs([complete_graph(4), complete_graph(6), complete_graph(5)])
+    assert err.value.reason == "odd-order"
+    assert check_graphs([]) == []
+
+
+def _mixed_order_stream():
+    """Runs of same-order graphs (the n=30 run is longer than one stacked
+    call holds) with odd-order, too-small and disconnected lines between."""
+    assert 25 * 30 * 30 > _BATCH_ENTRIES
+    rng = random.Random(5)
+    bad = ["Bw", "A_", "C?", encode_graph6(build_graph(6, [(0, 1), (2, 3), (4, 5)]))]
+    lines = []
+    for n, run in ((6, 40), (4, 3), (30, 25), (100, 9), (8, 1), (6, 7), (250, 2), (12, 50)):
+        for G in sample_connected(n, 0.5, run, seed=rng.randrange(10**6)):
+            lines.append(encode_graph6(G))
+            if rng.random() < 0.2:
+                lines.append(rng.choice(bad))
+        if n > 12:
+            lines.append(encode_graph6(extremal_h(n)))  # no perfect matching
+    return lines
+
+
+def test_batched_records_match_per_graph():
+    lines = _mixed_order_stream()
+    sink = io.StringIO()
+    summary = run_stream(lines, out=sink)
+    batched = [json.loads(line) for line in sink.getvalue().splitlines()]
+    per_graph = []
+    for line in lines:
+        G = decode_graph6(line)
+        if G.n >= 4 and G.n % 2 == 0 and is_connected(G):
+            per_graph.append(check_graph(G).to_dict())
+    assert summary.checked == len(per_graph) == len(batched)
+    assert sum(summary.skipped.values()) == len(lines) - len(per_graph)
+    for got, want in zip(batched, per_graph):
+        q_got, q_want = got.pop("q1"), want.pop("q1")
+        assert abs(q_got - q_want) <= 1e-12 * max(1.0, q_want)
+        assert got == want
+
+
+def test_parallel_jsonl_matches_serial_line_by_line():
+    # 1000 graphs of order 12 do not fill a whole number of chunks
+    assert 1000 % (_BATCH_ENTRIES // 144)
+    sinks = [io.StringIO(), io.StringIO()]
+    for jobs, sink in zip((1, 2), sinks):
+        run_random(12, 0.85, 1000, seed=17, out=sink, jobs=jobs, stable=True)
+    serial, parallel = (sink.getvalue().splitlines() for sink in sinks)
+    assert len(serial) == 1000
+    assert parallel == serial
 
 
 def test_check_graph_deterministic():
@@ -204,8 +262,8 @@ def test_random_sweeps_find_no_counterexamples():
 
 
 def test_parallel_matches_serial():
-    serial = run_exhaustive(4)
-    parallel = run_exhaustive(4, jobs=2)
+    serial = run_exhaustive(6)
+    parallel = run_exhaustive(6, jobs=2)
     assert parallel.checked == serial.checked
     assert parallel.verdicts == serial.verdicts
 

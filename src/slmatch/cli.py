@@ -111,7 +111,9 @@ def _cmd_verify(args, stdout) -> int:
                 args.exhaustive, out=sink, jobs=args.jobs, stable=args.stable
             )
         elif args.graph6_file is not None:
-            with open(args.graph6_file, "r", encoding="utf-8") as handle:
+            # graph6 is ASCII; latin-1 maps every byte to one character, so a
+            # stray non-ASCII byte becomes a counted parse error
+            with open(args.graph6_file, "r", encoding="latin-1") as handle:
                 summary = run_stream(
                     handle, out=sink, jobs=args.jobs, stable=args.stable
                 )

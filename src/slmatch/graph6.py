@@ -10,6 +10,7 @@ offset 63 and zero padding to a multiple of six.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
@@ -21,16 +22,17 @@ HEADER = ">>graph6<<"
 
 _MAX_ORDER = 258047
 
+# graph6 and base64 both write six bits per byte, most significant first;
+# only the alphabets differ, so bytes.translate converts between them.
+_GRAPH6_BYTES = bytes(range(63, 127))
+_BASE64_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_GRAPH6 = bytes.maketrans(_BASE64_BYTES, _GRAPH6_BYTES)
+_FROM_GRAPH6 = bytes.maketrans(_GRAPH6_BYTES, _BASE64_BYTES)
+
 
 def pair_index_order(n: int) -> list[tuple[int, int]]:
     """Vertex pairs (i, j), i < j, in graph6 column-major bit order."""
     return [(i, j) for j in range(1, n) for i in range(j)]
-
-
-def _reverse_bits(value: int, width: int) -> int:
-    if width == 0:
-        return 0
-    return int(format(value, f"0{width}b")[::-1], 2)
 
 
 def encode_graph6(G: Graph) -> str:
@@ -43,71 +45,67 @@ def encode_graph6(G: Graph) -> str:
     else:
         prefix = "~" + "".join(chr(63 + ((n >> k) & 63)) for k in (12, 6, 0))
 
-    # column j of the upper triangle is exactly the low j bits of adjacency
-    # mask j, reversed so that pair (0, j) comes first
-    bits = 0
-    for j in range(1, n):
-        bits = (bits << j) | _reverse_bits(G.adjacency_mask(j) & ((1 << j) - 1), j)
-    total = n * (n - 1) // 2
-    pad = (-total) % 6
-    bits <<= pad
-    nbytes = (total + pad) // 6
-    chars = [chr(63 + ((bits >> (6 * (nbytes - 1 - b))) & 63)) for b in range(nbytes)]
-    return prefix + "".join(chars)
+    # column j of the upper triangle is the low j bits of adjacency mask j,
+    # from bit 0 up: bin() of them with a marker bit j, read backwards and
+    # stopped before the marker
+    masks = G.adjacency_masks()
+    bits = "".join([bin(masks[j] & ((1 << j) - 1) | (1 << j))[:2:-1] for j in range(1, n)])
+    # base64 packs whole 24-bit groups; the zero padding past the last
+    # graph6 byte is cut off, and the leading "0" keeps n < 2 parseable
+    pad = -len(bits) % 24
+    raw = int("0" + bits + "0" * pad, 2).to_bytes((len(bits) + pad) // 8, "big")
+    body = base64.b64encode(raw)[: (len(bits) + 5) // 6].translate(_TO_GRAPH6)
+    return prefix + body.decode("ascii")
 
 
 def decode_graph6(line: str) -> Graph:
     """Graph encoded by one graph6 line (header not accepted here)."""
     if not line:
         raise Graph6ParseError("empty graph6 line", offset=0)
-    for off, ch in enumerate(line):
-        if not 63 <= ord(ch) <= 126:
-            raise Graph6ParseError(
-                f"byte {ord(ch)} outside graph6 range 63..126", offset=off
-            )
-    c0 = ord(line[0]) - 63
+    if not line.isascii() or line.encode("ascii").translate(None, _GRAPH6_BYTES):
+        # some byte is out of range; find the first one for the error offset
+        for off, ch in enumerate(line):
+            if not 63 <= ord(ch) <= 126:
+                raise Graph6ParseError(
+                    f"byte {ord(ch)} outside graph6 range 63..126", offset=off
+                )
+    data = line.encode("ascii")
+    c0 = data[0] - 63
     if c0 <= 62:
         n, idx = c0, 1
     else:
-        if len(line) < 4:
-            raise Graph6ParseError("truncated extended order field", offset=len(line))
-        if ord(line[1]) - 63 == 63:
+        if len(data) < 4:
+            raise Graph6ParseError("truncated extended order field", offset=len(data))
+        if data[1] - 63 == 63:
             raise Graph6ParseError(
                 "orders >= 258048 are not supported by this decoder", offset=1
             )
-        n = 0
-        for off in (1, 2, 3):
-            n = (n << 6) | (ord(line[off]) - 63)
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
         idx = 4
         if n <= 62:
             raise Graph6ParseError("non-canonical extended order field", offset=1)
 
-    total = n * (n - 1) // 2
-    nbytes = (total + 5) // 6
-    if len(line) - idx != nbytes:
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    if len(data) - idx != nbytes:
         raise Graph6ParseError(
-            f"expected {nbytes} adjacency bytes for n={n}, got {len(line) - idx}",
+            f"expected {nbytes} adjacency bytes for n={n}, got {len(data) - idx}",
             offset=idx,
         )
-    bits = 0
-    for ch in line[idx:]:
-        bits = (bits << 6) | (ord(ch) - 63)
-    width = 6 * nbytes
+    body = data[idx:].translate(_FROM_GRAPH6)
+    # "A" is base64's zero digit; it pads the body to whole 4-digit groups
+    raw = base64.b64decode(body + b"A" * (-len(body) % 4))
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b").encode("ascii")
 
-    adj = [0] * n
-    base = 0
+    # An n x n square of ASCII digits holds the strict lower triangle of the
+    # adjacency matrix: row j is column j of the upper triangle, zero-padded.
+    # Row v read backwards gives v's lower neighbours and column v read
+    # bottom-up its higher ones, each a binary numeral with vertex u at bit u.
+    square = bytearray(b"0") * (n * n)
     for j in range(1, n):
-        chunk = (bits >> (width - base - j)) & ((1 << j) - 1)
-        low = _reverse_bits(chunk, j)
-        adj[j] |= low
-        base += j
-    for j in range(1, n):
-        m = adj[j]
-        while m:
-            b = m & -m
-            adj[b.bit_length() - 1] |= 1 << j
-            m ^= b
-    return Graph(n, tuple(adj))
+        square[j * n : j * n + j] = bits[j * (j - 1) // 2 : j * (j + 1) // 2]
+    bottom = n * n - n  # start of the last row
+    masks = [int(square[v * n : v * n + n][::-1], 2) for v in range(n)]
+    return Graph(n, tuple(m | int(square[bottom + v :: -n], 2) for v, m in enumerate(masks)))
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import CapacityError, InputError, NumericalError
 from .graph import Graph
+
+# Largest order whose dense float64 Q fits in 128 MiB (4096^2 entries of 8
+# bytes).  graph6 admits orders up to 258047; a dense Q at n = 20000 would
+# take 3.2 GB.
+MAX_DENSE_ORDER = 4096
 
 
 def signless_laplacians(graphs: Sequence[Graph]) -> np.ndarray:
-    """Stacked Q = D + A of B >= 1 graphs of one order, a (B, n, n) array.
+    """Stacked Q = D + A of B >= 1 graphs of one order n <= MAX_DENSE_ORDER,
+    a (B, n, n) array.
 
     Row v's mask, written little-endian by `int.to_bytes`, holds A[v, u] at
     bit u, so `np.unpackbits` expands all rows at once; row sums give D.
@@ -31,6 +37,8 @@ def signless_laplacians(graphs: Sequence[Graph]) -> np.ndarray:
     if not graphs or any(G.n != graphs[0].n for G in graphs):
         raise InputError("expected one or more graphs, all of one order")
     n = graphs[0].n
+    if n > MAX_DENSE_ORDER:
+        raise CapacityError(f"dense Q supports orders up to {MAX_DENSE_ORDER}, got {n}")
     width = (n + 7) // 8
     raw = b"".join([m.to_bytes(width, "little") for G in graphs for m in G.adjacency_masks()])
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import threading
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from itertools import chain, groupby
 from typing import IO, Iterable, Iterator, Sequence
@@ -31,7 +33,14 @@ from .graph import (
 )
 from .graph6 import ParseFailure, encode_graph6, read_stream, write_jsonl
 from .matching import maximum_matching
-from .spectral import edge_threshold, q1, q1_threshold, signless_laplacians, spectral_radius
+from .spectral import (
+    MAX_DENSE_ORDER,
+    edge_threshold,
+    q1,
+    q1_threshold,
+    signless_laplacians,
+    spectral_radius,
+)
 
 EPSILON = 1e-8
 
@@ -105,13 +114,7 @@ def _record(G: Graph, radius: float) -> VerdictRecord:
     threshold = q1_threshold(n)
     matching = maximum_matching(G)
     has_pm = 2 * matching.size == n
-    witness = None
-    if not has_pm:
-        witness = matching.witness
-        deficiency = odd_components(delete_vertices(G, witness)) - len(witness)
-        if deficiency < 1:
-            raise RuntimeError(f"invalid deficiency witness {witness} for {G!r}")
-
+    witness = None if has_pm else matching.witness
     if abs(radius - threshold) <= EPSILON:
         verdict = VERDICT_BOUNDARY
     elif radius > threshold + EPSILON:
@@ -189,29 +192,54 @@ class CorpusSummary:
         return 0 if self.clean else 1
 
 
+# Chunks a pool may hold per worker, counted from when the pool's feeder
+# thread takes a chunk from the input until its records come back: enough to
+# keep every worker busy, while the input is read only that far ahead.
+_CHUNKS_IN_FLIGHT_PER_JOB = 4
+
+
 def _iter_records(graphs: Iterable[Graph], jobs: int, stable: bool) -> Iterator[VerdictRecord]:
     if jobs <= 1:
         yield from chain.from_iterable(map(check_graphs, _chunks(graphs)))
         return
+    slots = threading.Semaphore(_CHUNKS_IN_FLIGHT_PER_JOB * jobs)
+    stopped = threading.Event()
+
+    def admitted() -> Iterator[list[Graph]]:
+        for chunk in _chunks(graphs):
+            slots.acquire()
+            if stopped.is_set():
+                return
+            yield chunk
+
     with multiprocessing.Pool(jobs) as pool:
         mapper = pool.imap if stable else pool.imap_unordered
-        yield from chain.from_iterable(mapper(check_graphs, _chunks(graphs)))
+        try:
+            for records in mapper(check_graphs, admitted()):
+                slots.release()
+                yield from records
+        finally:
+            # the pool joins its feeder thread on exit, so a consumer that
+            # stops early must not leave that thread waiting for a slot
+            stopped.set()
+            slots.release()
 
 
 def _absorb_all(
     records: Iterator[VerdictRecord], summary: CorpusSummary, out: IO[str] | None
 ) -> None:
-    if out is None:
-        for record in records:
-            summary.absorb(record)
-        return
-
     def absorbed():
         for record in records:
             summary.absorb(record)
             yield record.to_dict()
 
-    write_jsonl(out, absorbed())
+    # closing stops a parallel sweep's pool even when the sink raises
+    with closing(records):
+        if out is None:
+            for record in records:
+                summary.absorb(record)
+        else:
+            write_jsonl(out, absorbed())
 
 
 def run_exhaustive(
@@ -251,6 +279,8 @@ def run_stream(
                 summary.skipped["odd-order"] += 1
             elif item.n < 4:
                 summary.skipped["order-too-small"] += 1
+            elif item.n > MAX_DENSE_ORDER:
+                summary.skipped["order-too-large"] += 1
             elif not is_connected(item):
                 summary.skipped["disconnected"] += 1
             else:

@@ -3,7 +3,9 @@
 import io
 import json
 
+from slmatch import empty_graph, encode_graph6
 from slmatch.cli import main
+from slmatch.spectral import MAX_DENSE_ORDER
 
 
 def run_cli(argv):
@@ -95,6 +97,15 @@ def test_verify_graph6_file(tmp_path):
     assert "skipped parse-error 1\n" in out
 
 
+def test_verify_graph6_file_counts_a_non_utf8_byte_as_a_parse_error(tmp_path):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_bytes(b"C~\nC\xff\nC~\n")
+    code, out = run_cli(["verify", "--graph6-file", str(corpus)])
+    assert code == 0
+    assert "checked 2\n" in out
+    assert "skipped parse-error 1\n" in out
+
+
 def test_verify_random_seeded():
     code, out = run_cli(
         ["verify", "--random", "8", "--p", "0.6", "--count", "5", "--seed", "1"]
@@ -174,6 +185,11 @@ def test_unknown_subcommand_exits_2():
 
 def test_bad_graph6_exits_2():
     assert run_cli(["q1", "--graph6", "!!"])[0] == 2
+
+
+def test_q1_above_the_dense_order_cap_exits_2():
+    line = encode_graph6(empty_graph(MAX_DENSE_ORDER + 1))
+    assert run_cli(["q1", "--graph6", line])[0] == 2
 
 
 def test_missing_edge_file_exits_2(tmp_path):

@@ -6,6 +6,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slmatch import (
     Graph6ParseError,
@@ -102,6 +104,65 @@ def test_codec_agrees_with_networkx():
         assert nx_graph.number_of_nodes() == n
         assert {tuple(sorted(e)) for e in nx_graph.edges()} == set(G.edges())
         assert nx.to_graph6_bytes(nx_graph, header=False).strip().decode("ascii") == line
+
+
+@st.composite
+def _graphs_up_to_130(draw):
+    n = draw(st.integers(0, 130))
+    return edge_mask_to_graph(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+
+
+@given(_graphs_up_to_130())
+@example(empty_graph(0))
+@example(complete_graph(62))
+@example(complete_graph(63))
+@settings(max_examples=300, deadline=None)
+def test_roundtrip_property_across_header_boundary(G):
+    line = encode_graph6(G)
+    header = 1 if G.n <= 62 else 4
+    assert len(line) == header + (G.n * (G.n - 1) // 2 + 5) // 6
+    assert decode_graph6(line) == G
+
+
+@pytest.mark.parametrize("n", [63, 64, 127, 500, 1000])
+def test_codec_agrees_with_networkx_at_large_orders(n):
+    reference = nx.gnp_random_graph(n, 0.5, seed=n)
+    G = build_graph(n, reference.edges())
+    nx_line = nx.to_graph6_bytes(reference, header=False).strip()
+    assert encode_graph6(G) == nx_line.decode("ascii")
+    back = nx.from_graph6_bytes(nx_line)
+    decoded = decode_graph6(nx_line.decode("ascii"))
+    assert decoded.n == back.number_of_nodes() == n
+    assert set(decoded.edges()) == {tuple(sorted(e)) for e in back.edges()}
+
+
+# (line, offset, message): each malformed line's error, pinned literally
+MALFORMED = [
+    ("", 0, "empty graph6 line"),
+    (">", 0, "byte 62 outside graph6 range 63..126"),
+    ("D ?", 1, "byte 32 outside graph6 range 63..126"),
+    ("D?\x7f", 2, "byte 127 outside graph6 range 63..126"),
+    ("C\u00e9", 1, "byte 233 outside graph6 range 63..126"),
+    ("C\xff", 1, "byte 255 outside graph6 range 63..126"),
+    ("\u20ac?", 0, "byte 8364 outside graph6 range 63..126"),
+    ("~", 1, "truncated extended order field"),
+    ("~??", 3, "truncated extended order field"),
+    ("~??}", 1, "non-canonical extended order field"),
+    ("~???", 1, "non-canonical extended order field"),
+    ("~~~~", 1, "orders >= 258048 are not supported by this decoder"),
+    ("~~??~~", 1, "orders >= 258048 are not supported by this decoder"),
+    ("C~~", 1, "expected 1 adjacency bytes for n=4, got 2"),
+    ("C", 1, "expected 1 adjacency bytes for n=4, got 0"),
+    ("~?@?" + "?" * 335, 4, "expected 336 adjacency bytes for n=64, got 335"),
+    ("~?@?" + "?" * 337, 4, "expected 336 adjacency bytes for n=64, got 337"),
+]
+
+
+@pytest.mark.parametrize("line, offset, message", MALFORMED)
+def test_decode_errors_keep_offset_and_message(line, offset, message):
+    with pytest.raises(Graph6ParseError) as err:
+        decode_graph6(line)
+    assert (err.value.offset, str(err.value)) == (offset, message)
 
 
 def test_read_stream_mixed_lines():

@@ -3,10 +3,15 @@
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slmatch
 from slmatch import (
     EPSILON,
     HypothesisError,
@@ -34,7 +39,15 @@ from slmatch import (
     sharpness_graph,
     sharpness_report,
 )
-from slmatch.verify import _BATCH_ENTRIES, JSONL_FIELDS, VerdictRecord, check_graphs
+from slmatch.errors import CapacityError
+from slmatch.spectral import MAX_DENSE_ORDER, q1
+from slmatch.verify import (
+    _BATCH_ENTRIES,
+    _CHUNKS_IN_FLIGHT_PER_JOB,
+    JSONL_FIELDS,
+    VerdictRecord,
+    check_graphs,
+)
 
 
 def test_check_graph_k4():
@@ -127,6 +140,91 @@ def test_parallel_jsonl_matches_serial_line_by_line():
     serial, parallel = (sink.getvalue().splitlines() for sink in sinks)
     assert len(serial) == 1000
     assert parallel == serial
+
+
+_SWEEP_SCRIPT = """
+import time
+
+import slmatch.generate
+from slmatch import run_random
+
+pulled = 0
+sample = slmatch.generate.sample_connected
+
+
+def counted(*args, **kwargs):
+    global pulled
+    for G in sample(*args, **kwargs):
+        pulled += 1
+        yield G
+
+
+slmatch.generate.sample_connected = counted
+
+
+class Sink:
+    lines = 0
+
+    def write(self, text):
+        self.lines += 1
+        if self.lines == {stop_at}:
+            time.sleep(1.0)  # an unbounded reader keeps pulling meanwhile
+            print("pulled", pulled)
+            raise OSError("sink full")
+
+
+try:
+    run_random(12, 0.85, 40000, 3, out=Sink(), jobs=2)
+except OSError as exc:
+    error = exc  # keeping the error keeps the sweep's frames, and its pool, alive
+    print("raised", error)
+"""
+
+
+def _parallel_sweep_stopped_by_sink(stop_at: int) -> int:
+    """Run run_random(12, 0.85, 40000, 3, jobs=2) in a fresh interpreter,
+    with a sink that stalls and then raises at line `stop_at`; return the
+    graphs pulled from the input by then.  A pool left waiting at shutdown
+    fails the test by timeout instead of hanging the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(slmatch.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _SWEEP_SCRIPT.format(stop_at=stop_at)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    pulled, raised = done.stdout.splitlines()
+    assert raised == "raised sink full"
+    return int(pulled.split()[1])
+
+
+def test_parallel_sweep_reads_a_bounded_window_of_input():
+    pulled = _parallel_sweep_stopped_by_sink(stop_at=1)
+    # the window, one chunk admitted when the first result came back, one
+    # more waiting for a slot, and the graph that closed that chunk
+    per_chunk = _BATCH_ENTRIES // (12 * 12)
+    window = _CHUNKS_IN_FLIGHT_PER_JOB * 2
+    assert pulled <= (window + 2) * per_chunk + 1
+
+
+def test_parallel_sweep_with_a_failing_sink_raises_instead_of_hanging():
+    assert _parallel_sweep_stopped_by_sink(stop_at=2000) < 40000
+
+
+def test_orders_above_the_dense_cap_are_skipped_or_refused():
+    # even and disconnected: the cap is checked before connectivity
+    above = encode_graph6(empty_graph(MAX_DENSE_ORDER + 2))
+    at_cap = encode_graph6(empty_graph(MAX_DENSE_ORDER))
+    summary = run_stream([above, at_cap, "C~"])
+    assert summary.checked == 1
+    assert summary.skipped == {"order-too-large": 1, "disconnected": 1}
+    star = build_graph(MAX_DENSE_ORDER + 2, [(0, v) for v in range(1, MAX_DENSE_ORDER + 2)])
+    with pytest.raises(CapacityError):
+        check_graph(star)
+    with pytest.raises(CapacityError):
+        q1(empty_graph(MAX_DENSE_ORDER + 1))
 
 
 def test_check_graph_deterministic():

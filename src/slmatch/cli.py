@@ -13,7 +13,7 @@ from typing import IO
 
 from .errors import Graph6ParseError, InputError
 from .graph import Graph
-from .graph6 import decode_graph6, encode_graph6, read_edge_list
+from .graph6 import decode_graph6, read_edge_list
 from .proof_harness import (
     ProofInstance,
     check_merge_singletons,
@@ -29,7 +29,6 @@ from .verify import (
     run_exhaustive,
     run_random,
     run_stream,
-    sharpness_graph,
     sharpness_report,
 )
 
@@ -49,6 +48,10 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph6", help="graph6 line")
     source.add_argument("--edges", help="edge-list file ('n m' header, 'u v' lines)")
+
+
+def _witness_text(witness: tuple[int, ...] | None) -> str:
+    return "null" if witness is None else ",".join(map(str, witness))
 
 
 def _print_summary(summary: CorpusSummary, stdout: IO[str]) -> None:
@@ -95,8 +98,7 @@ def _cmd_check(args, stdout) -> int:
     print(f"edge_threshold {record.edge_threshold}", file=stdout)
     print(f"has_pm {str(record.has_pm).lower()}", file=stdout)
     print(f"verdict {record.verdict}", file=stdout)
-    witness = "null" if record.witness is None else ",".join(map(str, record.witness))
-    print(f"witness {witness}", file=stdout)
+    print(f"witness {_witness_text(record.witness)}", file=stdout)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as sink:
             sink.write(record.to_json() + "\n")
@@ -107,27 +109,17 @@ def _cmd_verify(args, stdout) -> int:
     sink = open(args.out, "w", encoding="utf-8") if args.out else None
     try:
         if args.exhaustive is not None:
-            summary = run_exhaustive(
-                args.exhaustive, out=sink, jobs=args.jobs, stable=args.stable
-            )
+            summary = run_exhaustive(args.exhaustive, out=sink, jobs=args.jobs)
         elif args.graph6_file is not None:
             # graph6 is ASCII; latin-1 maps every byte to one character, so a
             # stray non-ASCII byte becomes a counted parse error
             with open(args.graph6_file, "r", encoding="latin-1") as handle:
-                summary = run_stream(
-                    handle, out=sink, jobs=args.jobs, stable=args.stable
-                )
+                summary = run_stream(handle, out=sink, jobs=args.jobs)
         else:
             if args.count is None or args.p is None:
                 raise InputError("--random needs --p and --count")
             summary = run_random(
-                args.random,
-                args.p,
-                args.count,
-                args.seed,
-                out=sink,
-                jobs=args.jobs,
-                stable=args.stable,
+                args.random, args.p, args.count, args.seed, out=sink, jobs=args.jobs
             )
     finally:
         if sink is not None:
@@ -136,40 +128,18 @@ def _cmd_verify(args, stdout) -> int:
     return summary.exit_code()
 
 
-_EXTREMAL_BUILDERS = {"h", "k2e4", "k3e5"}
-
-
 def _cmd_extremal(args, stdout) -> int:
-    n = args.n
-    which = args.which
-    if which is None:
-        G = sharpness_graph(n)
-    elif which == "h":
-        from .graph import extremal_h
-
-        G = extremal_h(n)
-    elif which == "k2e4":
-        if n != 6:
-            raise InputError("k2e4 is the 6-vertex construction; use --n 6")
-        G = sharpness_graph(6)
-    else:
-        if n != 8:
-            raise InputError("k3e5 is the 8-vertex construction; use --n 8")
-        G = sharpness_graph(8)
-    report = sharpness_report([n]) if which is None else None
-    print(f"n {G.n}", file=stdout)
-    print(f"edges {G.edge_count}", file=stdout)
-    print(f"q1 {_fmt(q1(G))}", file=stdout)
-    print(f"q1_threshold {_fmt(q1_threshold(n))}", file=stdout)
-    if report is not None:
-        row = report.rows[0]
-        print(f"has_pm {str(row.has_pm).lower()}", file=stdout)
-        witness = "null" if row.witness is None else ",".join(map(str, row.witness))
-        print(f"witness {witness}", file=stdout)
-        print(f"sharp {str(row.passed).lower()}", file=stdout)
+    row = sharpness_report([args.n]).rows[0]
+    print(f"n {row.n}", file=stdout)
+    print(f"edges {row.edges}", file=stdout)
+    print(f"q1 {_fmt(row.q1)}", file=stdout)
+    print(f"q1_threshold {_fmt(row.q1_threshold)}", file=stdout)
+    print(f"has_pm {str(row.has_pm).lower()}", file=stdout)
+    print(f"witness {_witness_text(row.witness)}", file=stdout)
+    print(f"sharp {str(row.passed).lower()}", file=stdout)
     if args.emit_graph6:
-        print(encode_graph6(G), file=stdout)
-    return 0 if report is None or report.passed else 1
+        print(row.graph6, file=stdout)
+    return 0 if row.passed else 1
 
 
 def _parse_instance(text: str) -> ProofInstance:
@@ -249,14 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write one JSONL record per graph")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--stable", action="store_true",
-                   help="force input order in JSONL output when --jobs > 1")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (output is the same)")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("extremal", help="threshold-attaining graph for order n")
+    p = sub.add_parser("extremal", help="sharpness row of the threshold-attaining graph")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--which", choices=sorted(_EXTREMAL_BUILDERS))
     p.add_argument("--emit-graph6", action="store_true", dest="emit_graph6")
     p.set_defaults(func=_cmd_extremal)
 

@@ -1,5 +1,5 @@
-"""Bit-exact graph6 encoding and decoding, plus the text I/O used by the
-verification harness (edge-list fixtures and a JSONL line sink).
+"""Bit-exact graph6 encoding and decoding, plus the text input of the
+verification harness (graph6 streams and edge-list fixtures).
 
 graph6 layout: printable bytes 63..126, one graph per line.  The order n is
 one byte n+63 for n <= 62, or byte 126 followed by three 6-bit digits of n
@@ -11,14 +11,17 @@ offset 63 and zero padding to a multiple of six.
 from __future__ import annotations
 
 import base64
-import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, Graph6ParseError, InputError
 from .graph import Graph
 
 HEADER = ">>graph6<<"
+
+# str.strip() would also strip the Unicode whitespace among latin-1's
+# non-ASCII characters (e.g. \x85, \xa0), which graph6 lines must not hold
+_ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 
 _MAX_ORDER = 258047
 
@@ -123,11 +126,11 @@ def read_stream(lines: Iterable[str]) -> Iterator[Graph | ParseFailure]:
     An optional '>>graph6<<' header and blank lines are skipped.
     """
     for number, raw in enumerate(lines, start=1):
-        text = raw.strip()
+        text = raw.strip(_ASCII_WHITESPACE)
         if not text:
             continue
         if text.startswith(HEADER):
-            text = text[len(HEADER):].strip()
+            text = text[len(HEADER):].strip(_ASCII_WHITESPACE)
             if not text:
                 continue
         try:
@@ -167,12 +170,3 @@ def read_edge_list(lines: Iterable[str]) -> Graph:
     from .graph import build_graph
 
     return build_graph(n, edges)
-
-
-def write_jsonl(sink: IO[str], records: Iterable[dict]) -> int:
-    """Write one JSON object per line; returns the number of lines written."""
-    count = 0
-    for record in records:
-        sink.write(json.dumps(record) + "\n")
-        count += 1
-    return count

@@ -15,7 +15,7 @@ import multiprocessing
 import threading
 from collections import Counter
 from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, groupby
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -31,12 +31,11 @@ from .graph import (
     join,
     odd_components,
 )
-from .graph6 import ParseFailure, encode_graph6, read_stream, write_jsonl
+from .graph6 import ParseFailure, encode_graph6, read_stream
 from .matching import maximum_matching
 from .spectral import (
     MAX_DENSE_ORDER,
     edge_threshold,
-    q1,
     q1_threshold,
     signless_laplacians,
     spectral_radius,
@@ -155,10 +154,13 @@ def check_graphs(graphs: Sequence[Graph]) -> list[VerdictRecord]:
     return records
 
 
-def check_graph(G: Graph, graph6_line: str | None = None) -> VerdictRecord:
+def check_graph(G: Graph) -> VerdictRecord:
     """Evaluate both conditions on one connected graph of even order >= 4."""
-    record = check_graphs([G])[0]
-    return record if graph6_line is None else replace(record, graph6=graph6_line)
+    return check_graphs([G])[0]
+
+
+# Parse failures a stream summary keeps; skipped["parse-error"] counts them all.
+_PARSE_FAILURES_KEPT = 100
 
 
 @dataclass
@@ -198,7 +200,7 @@ class CorpusSummary:
 _CHUNKS_IN_FLIGHT_PER_JOB = 4
 
 
-def _iter_records(graphs: Iterable[Graph], jobs: int, stable: bool) -> Iterator[VerdictRecord]:
+def _iter_records(graphs: Iterable[Graph], jobs: int) -> Iterator[VerdictRecord]:
     if jobs <= 1:
         yield from chain.from_iterable(map(check_graphs, _chunks(graphs)))
         return
@@ -213,9 +215,9 @@ def _iter_records(graphs: Iterable[Graph], jobs: int, stable: bool) -> Iterator[
             yield chunk
 
     with multiprocessing.Pool(jobs) as pool:
-        mapper = pool.imap if stable else pool.imap_unordered
         try:
-            for records in mapper(check_graphs, admitted()):
+            # imap keeps input order: --jobs changes the speed, not the output
+            for records in pool.imap(check_graphs, admitted()):
                 slots.release()
                 yield from records
         finally:
@@ -228,23 +230,15 @@ def _iter_records(graphs: Iterable[Graph], jobs: int, stable: bool) -> Iterator[
 def _absorb_all(
     records: Iterator[VerdictRecord], summary: CorpusSummary, out: IO[str] | None
 ) -> None:
-    def absorbed():
-        for record in records:
-            summary.absorb(record)
-            yield record.to_dict()
-
     # closing stops a parallel sweep's pool even when the sink raises
     with closing(records):
-        if out is None:
-            for record in records:
-                summary.absorb(record)
-        else:
-            write_jsonl(out, absorbed())
+        for record in records:
+            summary.absorb(record)
+            if out is not None:
+                out.write(record.to_json() + "\n")
 
 
-def run_exhaustive(
-    n: int, out: IO[str] | None = None, jobs: int = 1, stable: bool = True
-) -> CorpusSummary:
+def run_exhaustive(n: int, out: IO[str] | None = None, jobs: int = 1) -> CorpusSummary:
     """Check every labelled connected graph on n vertices (n = 4 or 6 only).
 
     The number of graphs seen is validated against the independent
@@ -253,15 +247,12 @@ def run_exhaustive(
     if n not in (4, 6):
         raise InputError(f"exhaustive verification supports n in {{4, 6}}, got {n}")
     summary = CorpusSummary(expected_count=connected_graph_count(n))
-    _absorb_all(_iter_records(all_connected(n), jobs, stable), summary, out)
+    _absorb_all(_iter_records(all_connected(n), jobs), summary, out)
     return summary
 
 
 def run_stream(
-    lines: Iterable[str],
-    out: IO[str] | None = None,
-    jobs: int = 1,
-    stable: bool = True,
+    lines: Iterable[str], out: IO[str] | None = None, jobs: int = 1
 ) -> CorpusSummary:
     """Check every well-formed even-order connected graph in a graph6 stream.
 
@@ -273,7 +264,8 @@ def run_stream(
         for item in read_stream(lines):
             if isinstance(item, ParseFailure):
                 summary.skipped["parse-error"] += 1
-                summary.parse_failures.append(item)
+                if len(summary.parse_failures) < _PARSE_FAILURES_KEPT:
+                    summary.parse_failures.append(item)
                 continue
             if item.n % 2:
                 summary.skipped["odd-order"] += 1
@@ -286,7 +278,7 @@ def run_stream(
             else:
                 yield item
 
-    _absorb_all(_iter_records(eligible(), jobs, stable), summary, out)
+    _absorb_all(_iter_records(eligible(), jobs), summary, out)
     return summary
 
 
@@ -297,7 +289,6 @@ def run_random(
     seed: int,
     out: IO[str] | None = None,
     jobs: int = 1,
-    stable: bool = True,
 ) -> CorpusSummary:
     """Check `count` seeded random connected graphs from G(n, p)."""
     from .generate import sample_connected
@@ -305,9 +296,7 @@ def run_random(
     if n < 4 or n % 2:
         raise InputError(f"random verification needs even n >= 4, got {n}")
     summary = CorpusSummary(expected_count=count)
-    _absorb_all(
-        _iter_records(sample_connected(n, p, count, seed), jobs, stable), summary, out
-    )
+    _absorb_all(_iter_records(sample_connected(n, p, count, seed), jobs), summary, out)
     return summary
 
 
@@ -350,38 +339,35 @@ class SharpnessReport:
         return all(row.passed for row in self.rows)
 
 
-def sharpness_report(ns: Iterable[int], tol: float = 1e-8) -> SharpnessReport:
-    """For each order: the extremal graph attains the threshold within tol,
-    has no perfect matching (with a verified witness), and for orders where
-    the generic formula applies its edge count meets the edge threshold."""
+def sharpness_report(ns: Iterable[int]) -> SharpnessReport:
+    """For each order, the sharpness graph's `check_graph` record: the graph
+    passes when its verdict is boundary (it attains the threshold within
+    EPSILON), its witness has deficiency >= 1 on an independent recount, and
+    its edge count meets the edge threshold."""
     rows = []
     for n in ns:
         G = sharpness_graph(n)
-        radius = q1(G)
-        threshold = q1_threshold(n)
-        matching = maximum_matching(G)
-        has_pm = 2 * matching.size == G.n
-        witness = matching.witness if not has_pm else None
+        record = check_graph(G)
+        witness = record.witness
         deficiency = None
         if witness is not None:
             deficiency = odd_components(delete_vertices(G, witness)) - len(witness)
         ok = (
-            abs(radius - threshold) <= tol
-            and not has_pm
+            record.verdict == VERDICT_BOUNDARY
             and deficiency is not None
             and deficiency >= 1
-            and G.edge_count == edge_threshold(n)
+            and record.edges == record.edge_threshold
         )
         rows.append(
             SharpnessRow(
                 n=n,
-                graph6=encode_graph6(G),
-                q1=radius,
-                q1_threshold=threshold,
-                gap=radius - threshold,
-                edges=G.edge_count,
-                edge_threshold=edge_threshold(n),
-                has_pm=has_pm,
+                graph6=record.graph6,
+                q1=record.q1,
+                q1_threshold=record.q1_threshold,
+                gap=record.q1 - record.q1_threshold,
+                edges=record.edges,
+                edge_threshold=record.edge_threshold,
+                has_pm=record.has_pm,
                 witness=witness,
                 witness_deficiency=deficiency,
                 passed=ok,

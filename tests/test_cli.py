@@ -2,8 +2,16 @@
 
 import io
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
-from slmatch import empty_graph, encode_graph6
+import pytest
+
+import slmatch
+from slmatch import empty_graph, encode_graph6, proof_harness, sample_connected
 from slmatch.cli import main
 from slmatch.spectral import MAX_DENSE_ORDER
 
@@ -106,6 +114,38 @@ def test_verify_graph6_file_counts_a_non_utf8_byte_as_a_parse_error(tmp_path):
     assert "skipped parse-error 1\n" in out
 
 
+def test_verify_graph6_file_keeps_non_ascii_whitespace_in_the_line(tmp_path):
+    # latin-1 reads \xa0 and \x85 as Unicode whitespace; they are still bad bytes
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_bytes(b"C~\xa0\nC~\x85\nC~\x1c\nC~\n")
+    code, out = run_cli(["verify", "--graph6-file", str(corpus)])
+    assert code == 0
+    assert "checked 1\n" in out
+    assert "skipped parse-error 3\n" in out
+
+
+def test_verify_parallel_jsonl_is_byte_identical_to_serial(tmp_path):
+    # mixed orders give chunks of unequal cost, which finish out of order
+    rng = random.Random(5)
+    lines = [
+        encode_graph6(G)
+        for n in (4, 6, 8, 10, 16, 24, 40)
+        for G in sample_connected(n, 0.6, 40, seed=n)
+    ]
+    rng.shuffle(lines)
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("\n".join(lines) + "\n")
+    outputs = []
+    for jobs in ("1", "2"):
+        out_path = tmp_path / f"jobs{jobs}.jsonl"
+        code, out = run_cli(
+            ["verify", "--graph6-file", str(corpus), "--jobs", jobs, "--out", str(out_path)]
+        )
+        assert code == 0 and "checked 280\n" in out
+        outputs.append((out, out_path.read_bytes()))
+    assert outputs[1] == outputs[0]
+
+
 def test_verify_random_seeded():
     code, out = run_cli(
         ["verify", "--random", "8", "--p", "0.6", "--count", "5", "--seed", "1"]
@@ -135,20 +175,32 @@ def test_extremal_default_reports_sharpness():
     )
 
 
-def test_extremal_explicit_family():
-    code, out = run_cli(["extremal", "--n", "6", "--which", "h"])
-    assert code == 0
-    assert out == (
-        "n 6\n"
-        "edges 8\n"
-        "q1 6.90951596616\n"
-        "q1_threshold 7.46410161514\n"
-    )
+@pytest.mark.parametrize(
+    "n, golden",
+    [
+        (
+            4,
+            "n 4\nedges 3\nq1 4\nq1_threshold 4\n"
+            "has_pm false\nwitness 0\nsharp true\nCs\n",
+        ),
+        (
+            8,
+            "n 8\nedges 18\nq1 10.8989794856\nq1_threshold 10.8989794856\n"
+            "has_pm false\nwitness 0,1,2\nsharp true\nG~zfF?\n",
+        ),
+        (
+            10,
+            "n 10\nedges 30\nq1 14.3469137257\nq1_threshold 14.3469137257\n"
+            "has_pm false\nwitness 0\nsharp true\nI~~~~}?_?\n",
+        ),
+    ],
+)
+def test_extremal_goldens(n, golden):
+    assert run_cli(["extremal", "--n", str(n), "--emit-graph6"]) == (0, golden)
 
 
-def test_extremal_rejects_mismatched_family():
-    code, _ = run_cli(["extremal", "--n", "10", "--which", "k2e4"])
-    assert code == 2
+def test_extremal_odd_order_exits_2():
+    assert run_cli(["extremal", "--n", "7"])[0] == 2
 
 
 def test_proof_check_instance():
@@ -170,6 +222,15 @@ def test_proof_check_all_small():
     assert "transcription m1_expansion_alternating" in out
     assert "MISMATCH" in out  # the alternating-sign expansion really disagrees
     assert "transcription m4_cubic" in out
+
+
+def test_proof_check_text_ignores_rounding_noise(monkeypatch):
+    argv = ["proof-check", "--all", "--nmax", "8"]
+    code, before = run_cli(argv)
+    radius = proof_harness.spectral_radius
+    monkeypatch.setattr(proof_harness, "spectral_radius", lambda M: radius(M) * (1 + 1e-14))
+    assert run_cli(argv) == (code, before)
+    assert "agrees (max rel err <= 1e-09)" in before
 
 
 def test_proof_check_bad_instance():
@@ -194,3 +255,20 @@ def test_q1_above_the_dense_order_cap_exits_2():
 
 def test_missing_edge_file_exits_2(tmp_path):
     assert run_cli(["q1", "--edges", str(tmp_path / "missing.edges")])[0] == 2
+
+
+def _python_m_slmatch(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(slmatch.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "slmatch", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_python_m_slmatch_runs_the_cli():
+    done = _python_m_slmatch("threshold", "--n", "10")
+    assert (done.returncode, done.stdout) == run_cli(["threshold", "--n", "10"])
+    assert _python_m_slmatch("verify", "--exhaustive", "5").returncode == 2

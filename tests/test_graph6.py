@@ -1,7 +1,5 @@
 """graph6 codec: hand-packed values, networkx cross-checks, roundtrips."""
 
-import io
-import json
 import random
 
 import networkx as nx
@@ -23,7 +21,6 @@ from slmatch import (
     read_stream,
 )
 from slmatch.generate import edge_mask_to_graph
-from slmatch.graph6 import write_jsonl
 
 
 def test_decode_hand_packed_values():
@@ -180,6 +177,15 @@ def test_read_stream_header_inline():
     assert items == [complete_graph(4)]
 
 
+def test_read_stream_strips_only_ascii_whitespace():
+    # \x85 and \xa0 are whitespace to str.strip() but are bytes of the line
+    lines = [">>graph6<< \tC~\x0b\x0c\r\n", ">>graph6<<\xa0C~", "C~\x85", "\x1cC~"]
+    items = list(read_stream(lines))
+    assert items[0] == complete_graph(4)
+    assert [item.line_number for item in items[1:]] == [2, 3, 4]
+    assert [item.offset for item in items[1:]] == [0, 2, 0]
+
+
 def test_read_edge_list():
     text = ["3 2", "0 1", " 1  2 "]
     assert read_edge_list(text) == build_graph(3, [(0, 1), (1, 2)])
@@ -189,11 +195,3 @@ def test_read_edge_list():
         read_edge_list([])
     with pytest.raises(InputError):
         read_edge_list(["3 1", "0 x"])
-
-
-def test_write_jsonl():
-    sink = io.StringIO()
-    assert write_jsonl(sink, [{"a": 1}, {"b": [1, 2]}]) == 2
-    lines = sink.getvalue().splitlines()
-    assert json.loads(lines[0]) == {"a": 1}
-    assert json.loads(lines[1]) == {"b": [1, 2]}

@@ -19,6 +19,7 @@ from .graph import (
     build_graph,
     complete_graph,
     components,
+    deficiency,
     delete_vertices,
     disjoint_union,
     empty_graph,

@@ -13,29 +13,32 @@ from typing import Iterator
 
 from .errors import CapacityError, InputError, SamplingError
 from .graph import Graph, component_masks, is_connected
-from .graph6 import pair_index_order
+from .graph6 import edge_bits, pair_index_order
 
 _MAX_EXHAUSTIVE = 7
 
 _REJECTION_CAP = 10_000
 
 
-def edge_mask_to_graph(n: int, mask: int) -> Graph:
-    """Graph whose k-th pair (graph6 order) is an edge iff bit k of mask is set."""
+def _mask_adjacency(n: int, pairs: list[tuple[int, int]], mask: int) -> tuple[int, ...]:
+    """Adjacency masks with pairs[k] an edge iff bit k of mask is set, in
+    time linear in the pair count: bin() reversed lists bit k at index k."""
     adj = [0] * n
-    for k, (i, j) in enumerate(pair_index_order(n)):
-        if (mask >> k) & 1:
+    for (i, j), bit in zip(pairs, bin(mask)[:1:-1]):
+        if bit == "1":
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+    return tuple(adj)
+
+
+def edge_mask_to_graph(n: int, mask: int) -> Graph:
+    """Graph whose k-th pair (graph6 order) is an edge iff bit k of mask is set."""
+    return Graph(n, _mask_adjacency(n, pair_index_order(n), mask))
 
 
 def graph_to_edge_mask(G: Graph) -> int:
-    mask = 0
-    for k, (i, j) in enumerate(pair_index_order(G.n)):
-        if G.has_edge(i, j):
-            mask |= 1 << k
-    return mask
+    """Inverse of edge_mask_to_graph, read off the graph6 adjacency bits."""
+    return int("0" + edge_bits(G)[::-1], 2)
 
 
 def all_connected(n: int) -> Iterator[Graph]:
@@ -52,17 +55,7 @@ def all_connected(n: int) -> Iterator[Graph]:
     pairs = pair_index_order(n)
     full = (1 << n) - 1
     for mask in range(1 << len(pairs)):
-        adj = [0] * n
-        m = mask
-        k = 0
-        while m:
-            if m & 1:
-                i, j = pairs[k]
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            m >>= 1
-            k += 1
-        adj = tuple(adj)
+        adj = _mask_adjacency(n, pairs, mask)
         # the first component found is the one holding vertex 0
         if next(component_masks(adj, full)) == full:
             yield Graph(n, adj)

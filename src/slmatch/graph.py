@@ -1,4 +1,4 @@
-"""Immutable simple graphs and the clique-join families used by the harness.
+"""Immutable simple graphs, their Tutte-Berge deficiency, and clique joins.
 
 Vertices are always labelled 0..n-1.  Adjacency is stored as one bitmask int
 per vertex, so graphs are hashable value objects and component/subset work is
@@ -7,7 +7,6 @@ cheap integer arithmetic.  All structural operations return new graphs.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Iterable, Iterator
 
 from .errors import InputError
@@ -51,16 +50,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, sorted."""
-        out = []
-        for u in range(self.n):
-            m = self._adj[u] >> (u + 1)
-            v = u + 1
-            while m:
-                if m & 1:
-                    out.append((u, v))
-                m >>= 1
-                v += 1
-        return out
+        return [(u, v) for u in range(self.n) for v in self.neighbors(u) if v > u]
 
     def __eq__(self, other) -> bool:
         return (
@@ -134,10 +124,22 @@ def is_connected(G: Graph) -> bool:
     return first == full
 
 
+def deficiency(G: Graph, S: Iterable[int]) -> int:
+    """Tutte-Berge deficiency o(G - S) - |S| of the vertex set S, counted on
+    the adjacency masks without building G - S."""
+    smask = 0
+    for v in S:
+        if not (isinstance(v, int) and 0 <= v < G.n):
+            raise InputError(f"vertex {v!r} not in 0..{G.n - 1}")
+        smask |= 1 << v
+    rest = ((1 << G.n) - 1) & ~smask
+    odd = sum(m.bit_count() & 1 for m in component_masks(G._adj, rest))
+    return odd - smask.bit_count()
+
+
 def odd_components(G: Graph) -> int:
     """Number of connected components with an odd number of vertices."""
-    full = (1 << G.n) - 1
-    return sum(m.bit_count() & 1 for m in component_masks(G._adj, full))
+    return deficiency(G, ())
 
 
 def delete_vertices(G: Graph, vertices: Iterable[int]) -> Graph:
@@ -203,8 +205,15 @@ def proof_graph(s: int, parts: Iterable[int]) -> Graph:
     for p in parts:
         if not (isinstance(p, int) and p >= 1):
             raise InputError(f"component orders must be positive integers, got {p!r}")
-    inner = reduce(disjoint_union, (complete_graph(p) for p in parts))
-    return join(complete_graph(s), inner)
+    n = s + sum(parts)
+    hub = (1 << s) - 1
+    adj = [((1 << n) - 1) ^ (1 << v) for v in range(s)]
+    start = s
+    for p in parts:
+        block = ((1 << p) - 1) << start
+        adj.extend((hub | block) ^ (1 << v) for v in range(start, start + p))
+        start += p
+    return Graph(n, tuple(adj))
 
 
 def extremal_h(n: int) -> Graph:
@@ -215,4 +224,4 @@ def extremal_h(n: int) -> Graph:
     """
     if not (isinstance(n, int) and n >= 4):
         raise InputError(f"order must be an integer >= 4, got {n!r}")
-    return join(complete_graph(1), disjoint_union(complete_graph(n - 3), empty_graph(2)))
+    return proof_graph(1, (n - 3, 1, 1))

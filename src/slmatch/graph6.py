@@ -38,6 +38,15 @@ def pair_index_order(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
+def edge_bits(G: Graph) -> str:
+    """The adjacency bits of G in pair_index_order, as "0"/"1" characters."""
+    # column j of the upper triangle is the low j bits of adjacency mask j,
+    # from bit 0 up: bin() of them with a marker bit j, read backwards and
+    # stopped before the marker
+    masks = G.adjacency_masks()
+    return "".join([bin(masks[j] & ((1 << j) - 1) | (1 << j))[:2:-1] for j in range(1, G.n)])
+
+
 def encode_graph6(G: Graph) -> str:
     """Canonical graph6 line for G (no header)."""
     n = G.n
@@ -48,11 +57,7 @@ def encode_graph6(G: Graph) -> str:
     else:
         prefix = "~" + "".join(chr(63 + ((n >> k) & 63)) for k in (12, 6, 0))
 
-    # column j of the upper triangle is the low j bits of adjacency mask j,
-    # from bit 0 up: bin() of them with a marker bit j, read backwards and
-    # stopped before the marker
-    masks = G.adjacency_masks()
-    bits = "".join([bin(masks[j] & ((1 << j) - 1) | (1 << j))[:2:-1] for j in range(1, n)])
+    bits = edge_bits(G)
     # base64 packs whole 24-bit groups; the zero padding past the last
     # graph6 byte is cut off, and the leading "0" keeps n < 2 parseable
     pad = -len(bits) % 24
@@ -61,8 +66,10 @@ def encode_graph6(G: Graph) -> str:
     return prefix + body.decode("ascii")
 
 
-def decode_graph6(line: str) -> Graph:
-    """Graph encoded by one graph6 line (header not accepted here)."""
+def _parse_header(line: str) -> tuple[int, int]:
+    """Order of one graph6 line and the offset of its adjacency bytes, after
+    checking the byte range, the order field and the body length; the body
+    is not decoded, so a line can be skipped by its order alone."""
     if not line:
         raise Graph6ParseError("empty graph6 line", offset=0)
     if not line.isascii() or line.encode("ascii").translate(None, _GRAPH6_BYTES):
@@ -72,7 +79,7 @@ def decode_graph6(line: str) -> Graph:
                 raise Graph6ParseError(
                     f"byte {ord(ch)} outside graph6 range 63..126", offset=off
                 )
-    data = line.encode("ascii")
+    data = line[:4].encode("ascii")
     c0 = data[0] - 63
     if c0 <= 62:
         n, idx = c0, 1
@@ -89,12 +96,18 @@ def decode_graph6(line: str) -> Graph:
             raise Graph6ParseError("non-canonical extended order field", offset=1)
 
     nbytes = (n * (n - 1) // 2 + 5) // 6
-    if len(data) - idx != nbytes:
+    if len(line) - idx != nbytes:
         raise Graph6ParseError(
-            f"expected {nbytes} adjacency bytes for n={n}, got {len(data) - idx}",
+            f"expected {nbytes} adjacency bytes for n={n}, got {len(line) - idx}",
             offset=idx,
         )
-    body = data[idx:].translate(_FROM_GRAPH6)
+    return n, idx
+
+
+def decode_graph6(line: str) -> Graph:
+    """Graph encoded by one graph6 line (header not accepted here)."""
+    n, idx = _parse_header(line)
+    body = line[idx:].encode("ascii").translate(_FROM_GRAPH6)
     # "A" is base64's zero digit; it pads the body to whole 4-digit groups
     raw = base64.b64decode(body + b"A" * (-len(body) % 4))
     bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b").encode("ascii")
@@ -120,8 +133,9 @@ class ParseFailure:
     message: str
 
 
-def read_stream(lines: Iterable[str]) -> Iterator[Graph | ParseFailure]:
-    """Decode a graph6 stream: graphs in order, ParseFailure for bad lines.
+def scan_stream(lines: Iterable[str]) -> Iterator[tuple[int, str] | ParseFailure]:
+    """Check a graph6 stream without decoding it: (order, line) for each
+    well-formed line, ParseFailure for each bad one, in stream order.
 
     An optional '>>graph6<<' header and blank lines are skipped.
     """
@@ -134,9 +148,18 @@ def read_stream(lines: Iterable[str]) -> Iterator[Graph | ParseFailure]:
             if not text:
                 continue
         try:
-            yield decode_graph6(text)
-        except (Graph6ParseError, CapacityError) as exc:
-            yield ParseFailure(number, getattr(exc, "offset", None), str(exc))
+            yield _parse_header(text)[0], text
+        except Graph6ParseError as exc:
+            yield ParseFailure(number, exc.offset, str(exc))
+
+
+def read_stream(lines: Iterable[str]) -> Iterator[Graph | ParseFailure]:
+    """Decode a graph6 stream: graphs in order, ParseFailure for bad lines.
+
+    An optional '>>graph6<<' header and blank lines are skipped.
+    """
+    for item in scan_stream(lines):
+        yield item if isinstance(item, ParseFailure) else decode_graph6(item[1])
 
 
 def read_edge_list(lines: Iterable[str]) -> Graph:

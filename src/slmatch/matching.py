@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CapacityError
-from .graph import Graph, component_masks
+from .graph import Graph, deficiency
 
 _NONE = -1
 
@@ -136,7 +136,7 @@ def maximum_matching(G: Graph) -> MatchingResult:
         return MatchingResult(size, edges, None)
 
     witness = _deficiency_witness(G, adj, match)
-    if _mask_deficiency(G, witness) != n - 2 * size:
+    if deficiency(G, witness) != n - 2 * size:
         raise RuntimeError("witness does not certify the matching deficiency")
     return MatchingResult(size, edges, witness)
 
@@ -145,15 +145,6 @@ def _deficiency_witness(G: Graph, adj, match) -> tuple[int, ...]:
     exposed = [v for v in range(G.n) if match[v] == _NONE]
     outer, parent = _search(adj, G.n, match, exposed, augment=False)
     return tuple(v for v in range(G.n) if parent[v] != _NONE and not outer[v])
-
-
-def _mask_deficiency(G: Graph, subset) -> int:
-    smask = 0
-    for v in subset:
-        smask |= 1 << v
-    rest = ((1 << G.n) - 1) & ~smask
-    odd = sum(m.bit_count() & 1 for m in component_masks(G.adjacency_masks(), rest))
-    return odd - smask.bit_count()
 
 
 def has_perfect_matching(G: Graph) -> bool:
@@ -170,19 +161,10 @@ def tutte_berge_oracle(G: Graph) -> tuple[int, tuple[int, ...]]:
     n = G.n
     if n > 20:
         raise CapacityError(f"subset enumeration limited to n <= 20, got {n}")
-    adj = G.adjacency_masks()
-    full = (1 << n) - 1
-    best = sum(m.bit_count() & 1 for m in component_masks(adj, full))
-    best_set: tuple[int, ...] = ()
-    for size in range(1, n + 1):
+    best, best_set = -1, ()
+    for size in range(n + 1):
         for combo in combinations(range(n), size):
-            smask = 0
-            for v in combo:
-                smask |= 1 << v
-            odd = sum(
-                m.bit_count() & 1 for m in component_masks(adj, full & ~smask)
-            )
-            if odd - size > best:
-                best = odd - size
-                best_set = combo
+            d = deficiency(G, combo)
+            if d > best:
+                best, best_set = d, combo
     return best, best_set

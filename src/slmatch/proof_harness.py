@@ -2,11 +2,11 @@
 
 Each deficiency scenario is a clique K_s joined to k disjoint odd cliques
 (k >= s+2).  The checks rebuild that scenario's quotient-matrix templates
-(M1..M5), confirm them against quotients computed from the full matrices,
-verify the root lower bounds, verify that moving vertices toward the largest
-clique strictly raises the spectral radius, and close with the threshold-vs-
-r_l case analysis.  Everything returns report records instead of raising, so
-sweeps can aggregate outcomes.
+(M1..M5), confirm that the M1 template's radius equals q1 of the full
+scenario graph, verify the root lower bounds, verify that moving vertices
+toward the largest clique strictly raises the spectral radius, and close with
+the threshold-vs-r_l case analysis.  Everything returns report records
+instead of raising, so sweeps can aggregate outcomes.
 """
 
 from __future__ import annotations
@@ -222,38 +222,31 @@ def check_root_bounds(inst: ProofInstance) -> PropertyReport:
     )
 
 
-def check_vertex_shift(inst: ProofInstance) -> PropertyReport:
-    """Shifting two vertices into the largest clique strictly raises q1."""
-    shifted = shifted_instance(inst)
-    if shifted is None:
-        return PropertyReport(
-            "vertex-shift", inst.describe(), passed=True, skipped=True
-        )
+def _check_raises_q1(
+    name: str, inst: ProofInstance, moved: ProofInstance | None
+) -> PropertyReport:
+    """q1 of the moved instance strictly exceeds q1 of inst; skipped when
+    there is nothing to move."""
+    if moved is None:
+        return PropertyReport(name, inst.describe(), passed=True, skipped=True)
     before = q1(inst.graph())
-    after = q1(shifted.graph())
+    after = q1(moved.graph())
     return PropertyReport(
-        name="vertex-shift",
-        subject=f"{inst.describe()} -> parts={list(shifted.parts)}",
+        name=name,
+        subject=f"{inst.describe()} -> parts={list(moved.parts)}",
         passed=after > before + _STRICT_MARGIN,
         details={"before": before, "after": after},
     )
+
+
+def check_vertex_shift(inst: ProofInstance) -> PropertyReport:
+    """Shifting two vertices into the largest clique strictly raises q1."""
+    return _check_raises_q1("vertex-shift", inst, shifted_instance(inst))
 
 
 def check_merge_singletons(inst: ProofInstance) -> PropertyReport:
     """Absorbing two singleton components strictly raises q1."""
-    merged = merged_instance(inst)
-    if merged is None:
-        return PropertyReport(
-            "merge-singletons", inst.describe(), passed=True, skipped=True
-        )
-    before = q1(inst.graph())
-    after = q1(merged.graph())
-    return PropertyReport(
-        name="merge-singletons",
-        subject=f"{inst.describe()} -> parts={list(merged.parts)}",
-        passed=after > before + _STRICT_MARGIN,
-        details={"before": before, "after": after},
-    )
+    return _check_raises_q1("merge-singletons", inst, merged_instance(inst))
 
 
 def check_h_bound(n: int, s: int) -> PropertyReport:
@@ -517,20 +510,16 @@ class ProofSuiteResult:
         return not self.failures
 
 
-def run_proof_suite(
-    nmax: int = 12,
-    samples: int = 200,
-    seed: int = DEFAULT_SAMPLE_SEED,
-    case_max: int = 100,
-) -> ProofSuiteResult:
-    """Exhaustive scenarios up to min(nmax, 12), seeded samples beyond, the
-    h-bound grid, the case analysis, and the transcription cross-checks."""
+def run_proof_suite(nmax: int = 12, case_max: int = 100) -> ProofSuiteResult:
+    """Exhaustive scenarios up to min(nmax, 12), sample_instances' 200 seeded
+    scenarios beyond, the h-bound grid, the case analysis, and the
+    transcription cross-checks."""
     reports: list[PropertyReport] = []
     instances: list[ProofInstance] = []
     for n in range(4, min(nmax, 12) + 1, 2):
         instances.extend(exhaustive_instances(n))
     if nmax >= 14:
-        sampled = sample_instances(samples, seed=seed, n_max=min(nmax, 40))
+        sampled = sample_instances(n_max=min(nmax, 40))
         instances.extend(i for i in sampled if i.n <= nmax)
     for inst in instances:
         reports.append(check_root_bounds(inst))

@@ -21,17 +21,8 @@ from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import HypothesisError, InputError
 from .generate import all_connected, connected_graph_count
-from .graph import (
-    Graph,
-    complete_graph,
-    delete_vertices,
-    empty_graph,
-    extremal_h,
-    is_connected,
-    join,
-    odd_components,
-)
-from .graph6 import ParseFailure, encode_graph6, read_stream
+from .graph import Graph, deficiency, is_connected, proof_graph
+from .graph6 import ParseFailure, decode_graph6, encode_graph6, scan_stream
 from .matching import maximum_matching
 from .spectral import (
     MAX_DENSE_ORDER,
@@ -261,22 +252,25 @@ def run_stream(
     summary = CorpusSummary()
 
     def eligible() -> Iterator[Graph]:
-        for item in read_stream(lines):
+        # the order is read from each line's header, so only lines that pass
+        # the order checks are decoded
+        for item in scan_stream(lines):
             if isinstance(item, ParseFailure):
                 summary.skipped["parse-error"] += 1
                 if len(summary.parse_failures) < _PARSE_FAILURES_KEPT:
                     summary.parse_failures.append(item)
                 continue
-            if item.n % 2:
+            n, line = item
+            if n % 2:
                 summary.skipped["odd-order"] += 1
-            elif item.n < 4:
+            elif n < 4:
                 summary.skipped["order-too-small"] += 1
-            elif item.n > MAX_DENSE_ORDER:
+            elif n > MAX_DENSE_ORDER:
                 summary.skipped["order-too-large"] += 1
-            elif not is_connected(item):
+            elif not is_connected(G := decode_graph6(line)):
                 summary.skipped["disconnected"] += 1
             else:
-                yield item
+                yield G
 
     _absorb_all(_iter_records(eligible(), jobs), summary, out)
     return summary
@@ -308,11 +302,10 @@ def sharpness_graph(n: int) -> Graph:
     """The matching-free graph attaining the threshold for order n."""
     if n < 4 or n % 2:
         raise InputError(f"sharpness graphs exist for even n >= 4, got {n}")
-    if n == 6:
-        return join(complete_graph(2), empty_graph(4))
-    if n == 8:
-        return join(complete_graph(3), empty_graph(5))
-    return extremal_h(n)
+    # K_s joined to one clique and s+1 singletons: K2 v 4K1 at n = 6,
+    # K3 v 5K1 at n = 8, and extremal_h(n) = K1 v (K_{n-3} u 2K1) otherwise
+    s = {6: 2, 8: 3}.get(n, 1)
+    return proof_graph(s, (n - 2 * s - 1,) + (1,) * (s + 1))
 
 
 @dataclass(frozen=True)
@@ -342,20 +335,18 @@ class SharpnessReport:
 def sharpness_report(ns: Iterable[int]) -> SharpnessReport:
     """For each order, the sharpness graph's `check_graph` record: the graph
     passes when its verdict is boundary (it attains the threshold within
-    EPSILON), its witness has deficiency >= 1 on an independent recount, and
+    EPSILON), its witness recounts to deficiency >= 1 on the graph, and
     its edge count meets the edge threshold."""
     rows = []
     for n in ns:
         G = sharpness_graph(n)
         record = check_graph(G)
         witness = record.witness
-        deficiency = None
-        if witness is not None:
-            deficiency = odd_components(delete_vertices(G, witness)) - len(witness)
+        recount = None if witness is None else deficiency(G, witness)
         ok = (
             record.verdict == VERDICT_BOUNDARY
-            and deficiency is not None
-            and deficiency >= 1
+            and recount is not None
+            and recount >= 1
             and record.edges == record.edge_threshold
         )
         rows.append(
@@ -369,7 +360,7 @@ def sharpness_report(ns: Iterable[int]) -> SharpnessReport:
                 edge_threshold=record.edge_threshold,
                 has_pm=record.has_pm,
                 witness=witness,
-                witness_deficiency=deficiency,
+                witness_deficiency=recount,
                 passed=ok,
             )
         )

@@ -184,6 +184,11 @@ def test_extremal_default_reports_sharpness():
             "has_pm false\nwitness 0\nsharp true\nCs\n",
         ),
         (
+            6,
+            "n 6\nedges 9\nq1 7.46410161514\nq1_threshold 7.46410161514\n"
+            "has_pm false\nwitness 0,1\nsharp true\nE}r?\n",
+        ),
+        (
             8,
             "n 8\nedges 18\nq1 10.8989794856\nq1_threshold 10.8989794856\n"
             "has_pm false\nwitness 0,1,2\nsharp true\nG~zfF?\n",
@@ -192,6 +197,11 @@ def test_extremal_default_reports_sharpness():
             10,
             "n 10\nedges 30\nq1 14.3469137257\nq1_threshold 14.3469137257\n"
             "has_pm false\nwitness 0\nsharp true\nI~~~~}?_?\n",
+        ),
+        (
+            12,
+            "n 12\nedges 47\nq1 18.2598100799\nq1_threshold 18.2598100799\n"
+            "has_pm false\nwitness 0\nsharp true\nK~~~~~~~{?O?\n",
         ),
     ],
 )

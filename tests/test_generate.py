@@ -9,12 +9,19 @@ from slmatch import (
     InputError,
     SamplingError,
     all_connected,
+    build_graph,
     complete_graph,
     connected_graph_count,
     is_connected,
     sample_connected,
 )
 from slmatch.generate import edge_mask_to_graph, graph_to_edge_mask
+from slmatch.graph6 import pair_index_order
+
+
+def _per_pair_graph(n, mask):
+    pairs = pair_index_order(n)
+    return build_graph(n, [pair for k, pair in enumerate(pairs) if (mask >> k) & 1])
 
 
 def test_enumeration_matches_inclusion_exclusion_count():
@@ -61,6 +68,31 @@ def test_edge_mask_roundtrip():
         n = rng.randint(1, 12)
         mask = rng.getrandbits(n * (n - 1) // 2)
         assert graph_to_edge_mask(edge_mask_to_graph(n, mask)) == mask
+
+
+def test_edge_mask_codec_matches_per_pair_reference():
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randint(0, 30)
+        mask = rng.getrandbits(n * (n - 1) // 2)
+        G = _per_pair_graph(n, mask)
+        assert edge_mask_to_graph(n, mask) == G
+        assert graph_to_edge_mask(G) == mask
+
+
+def test_edge_mask_roundtrip_at_order_1000():
+    n = 1000
+    mask = random.Random(17).getrandbits(n * (n - 1) // 2)
+    G = edge_mask_to_graph(n, mask)
+    assert G.edge_count == mask.bit_count()
+    assert graph_to_edge_mask(G) == mask
+
+
+def test_enumeration_matches_filtered_per_pair_reference():
+    for n in range(1, 6):
+        graphs = (_per_pair_graph(n, m) for m in range(1 << (n * (n - 1) // 2)))
+        expected = [G for G in graphs if is_connected(G)]
+        assert list(all_connected(n)) == expected
 
 
 def test_edge_mask_bit_zero_is_first_pair():

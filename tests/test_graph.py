@@ -1,15 +1,19 @@
 """Structural graph operations and the clique-join families."""
 
 import random
+from functools import reduce
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slmatch import (
     InputError,
     build_graph,
     complete_graph,
     components,
+    deficiency,
     delete_vertices,
     disjoint_union,
     empty_graph,
@@ -117,6 +121,31 @@ def test_odd_components(cycle6):
     assert odd_components(disjoint_union(complete_graph(7), empty_graph(2))) == 3
 
 
+@st.composite
+def _graphs_with_vertex_sets(draw):
+    n = draw(st.integers(0, 14))
+    mask = draw(st.integers(0, (1 << comb(n, 2)) - 1))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    G = build_graph(n, [pair for k, pair in enumerate(pairs) if (mask >> k) & 1])
+    return G, draw(st.sets(st.integers(0, n - 1))) if n else set()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs_with_vertex_sets())
+def test_deficiency_matches_the_deleted_subgraph(case):
+    G, S = case
+    H = delete_vertices(G, S)
+    assert odd_components(H) == sum(len(c) % 2 for c in components(H))
+    assert deficiency(G, S) == odd_components(H) - len(S)
+
+
+def test_deficiency_rejects_outsiders(cycle6):
+    with pytest.raises(InputError):
+        deficiency(cycle6, [6])
+    with pytest.raises(InputError):
+        deficiency(cycle6, [-1])
+
+
 def test_join_edge_counts():
     G = join(complete_graph(2), empty_graph(4))
     assert G.n == 6 and G.edge_count == 9
@@ -141,6 +170,16 @@ def test_proof_graph_star():
 def test_proof_graph_matches_join_constructions():
     assert proof_graph(2, [1, 1, 1, 1]) == join(complete_graph(2), empty_graph(4))
     assert proof_graph(1, [7, 1, 1]) == extremal_h(10)
+    for n in range(4, 41):
+        pendants = disjoint_union(complete_graph(n - 3), empty_graph(2))
+        assert extremal_h(n) == join(complete_graph(1), pendants)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.lists(st.integers(1, 8), min_size=1, max_size=6))
+def test_proof_graph_matches_the_combinator_chain(s, parts):
+    chain = join(complete_graph(s), reduce(disjoint_union, map(complete_graph, parts)))
+    assert proof_graph(s, parts) == chain
 
 
 def test_proof_graph_edge_count_formula():

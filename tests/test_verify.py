@@ -27,6 +27,7 @@ from slmatch import (
     complete_graph,
     decode_graph6,
     delete_vertices,
+    disjoint_union,
     empty_graph,
     encode_graph6,
     extremal_h,
@@ -324,6 +325,35 @@ def test_run_stream_keeps_a_bounded_sample_of_parse_failures():
     assert peak < 2_000_000
 
 
+def test_run_stream_skips_by_order_before_decoding(monkeypatch):
+    def refuse(line):
+        raise AssertionError(f"decoded a line of length {len(line)}")
+
+    monkeypatch.setattr(slmatch.verify, "decode_graph6", refuse)
+    odd = encode_graph6(empty_graph(MAX_DENSE_ORDER + 3))
+    above = encode_graph6(empty_graph(MAX_DENSE_ORDER + 2))
+    summary = run_stream([odd, above, "A_", "?", above[:-1], above + "!"])
+    assert summary.checked == 0
+    assert summary.skipped == {
+        "odd-order": 1,
+        "order-too-large": 1,
+        "order-too-small": 2,
+        "parse-error": 2,
+    }
+
+
+def test_run_stream_skips_an_oversized_line_in_memory_bounded_by_the_line():
+    line = encode_graph6(empty_graph(MAX_DENSE_ORDER + 2)) + "\n"
+    tracemalloc.start()
+    try:
+        summary = run_stream([line])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.skipped == {"order-too-large": 1}
+    assert peak <= 4 * len(line)
+
+
 def test_run_stream_empty():
     summary = run_stream([])
     assert summary.checked == 0 and summary.exit_code() == 0
@@ -386,6 +416,15 @@ def test_sharpness_graph_selection():
     assert sharpness_graph(20) == extremal_h(20)
     with pytest.raises(InputError):
         sharpness_graph(7)
+    # the combinator constructions of K2 v 4K1, K3 v 5K1 and K1 v (K_{n-3} u 2K1)
+    for n in range(4, 41, 2):
+        if n in (6, 8):
+            expected = join(complete_graph(n // 2 - 1), empty_graph(n // 2 + 1))
+        else:
+            expected = join(
+                complete_graph(1), disjoint_union(complete_graph(n - 3), empty_graph(2))
+            )
+        assert sharpness_graph(n) == expected
 
 
 def test_sharpness_rows_are_check_graph_records():

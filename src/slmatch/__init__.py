@@ -62,10 +62,11 @@ from .proof_harness import (
     verify_polynomial_transcriptions,
 )
 from .spectral import (
+    char_poly,
     closed_form_r,
     edge_threshold,
     is_equitable,
-    largest_real_root,
+    polyval,
     q1,
     q1_threshold,
     quotient_matrix,
@@ -73,6 +74,7 @@ from .spectral import (
     signless_laplacian,
     signless_laplacians,
     spectral_radius,
+    threshold_poly,
 )
 from .verify import (
     EPSILON,

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from typing import IO
 
-from .errors import Graph6ParseError, InputError
+from .errors import Graph6ParseError, InputError, SamplingError
 from .graph import Graph
 from .graph6 import decode_graph6, read_edge_list
 from .proof_harness import (
@@ -162,21 +163,12 @@ def _cmd_proof_check(args, stdout) -> int:
         ]
         for report in reports:
             print(report, file=stdout)
-        return 0 if all(r.passed or r.skipped for r in reports) else 1
+        return 1 if any(r.status == "FAIL" for r in reports) else 0
 
     result = run_proof_suite(nmax=args.nmax)
-    counts: dict[str, list[int]] = {}
-    for report in result.reports:
-        passed, skipped, failed = counts.setdefault(report.name, [0, 0, 0])
-        if report.skipped:
-            skipped += 1
-        elif report.passed:
-            passed += 1
-        else:
-            failed += 1
-        counts[report.name] = [passed, skipped, failed]
-    for name in sorted(counts):
-        passed, skipped, failed = counts[name]
+    counts = Counter((r.name, r.status) for r in result.reports)
+    for name in sorted({name for name, _ in counts}):
+        passed, skipped, failed = (counts[name, status] for status in ("PASS", "SKIP", "FAIL"))
         print(f"{name} pass {passed} skip {skipped} fail {failed}", file=stdout)
     for report in result.failures:
         print(f"FAIL {report}", file=stdout)
@@ -246,7 +238,7 @@ def main(argv: list[str] | None = None, stdout: IO[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args, stdout)
-    except (InputError, Graph6ParseError, OSError) as exc:
+    except (InputError, Graph6ParseError, SamplingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import sqrt
+from fractions import Fraction
+from functools import partial
+from math import prod, sqrt
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import InputError
 from .graph import proof_graph
-from .spectral import q1, r_of_n, spectral_radius
+from .spectral import char_poly, polyval, q1, r_of_n, spectral_radius
 
 DEFAULT_SAMPLE_SEED = 20240613
 
@@ -91,9 +93,12 @@ class PropertyReport:
     skipped: bool = False
     details: dict = field(default_factory=dict)
 
+    @property
+    def status(self) -> str:
+        return "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
+
     def __str__(self) -> str:
-        status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
-        return f"{self.name} {self.subject}: {status}"
+        return f"{self.name} {self.subject}: {self.status}"
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +112,7 @@ def build_m1(inst: ProofInstance) -> np.ndarray:
     for component i is 2 n_i + s - 2; everything else is 0.
     """
     k = inst.k
-    M = np.zeros((k + 1, k + 1))
+    M = np.zeros((k + 1, k + 1), dtype=int)
     M[0, 0] = inst.n + inst.s - 2
     for i, ni in enumerate(inst.parts, start=1):
         M[0, i] = ni
@@ -135,7 +140,7 @@ def build_m3(inst: ProofInstance) -> np.ndarray:
             [n1, n + s - 2, k - 1],
             [0, s, s],
         ],
-        dtype=float,
+        dtype=int,
     )
 
 
@@ -154,7 +159,7 @@ def build_m5(s: int) -> np.ndarray:
     if not (isinstance(s, int) and s >= 1):
         raise InputError(f"s must be a positive integer, got {s!r}")
     n = 2 * s + 2
-    return np.array([[n + s - 2, s + 2], [s, s]], dtype=float)
+    return np.array([[n + s - 2, s + 2], [s, s]], dtype=int)
 
 
 def r_l_of_n(n: int) -> float:
@@ -251,15 +256,15 @@ def check_merge_singletons(inst: ProofInstance) -> PropertyReport:
 
 def check_h_bound(n: int, s: int) -> PropertyReport:
     """r(n)^2 - (2s+4) r(n) - 2s^2 stays above its floor, and the k = s+2
-    template's characteristic polynomial is nonnegative at r(n)."""
+    template's characteristic polynomial, evaluated exactly at the float
+    r(n), is nonnegative there."""
     if not (isinstance(s, int) and s >= 1):
         raise InputError(f"s must be a positive integer, got {s!r}")
     if n < 2 * s + 4:
         raise InputError(f"need n >= 2s+4, got n={n}, s={s}")
     r = r_of_n(n)
     excess = r * r - (2 * s + 4) * r - 2 * s * s
-    m4 = build_m4(n, s)
-    h_at_r = float(np.linalg.det(r * np.eye(3) - m4))
+    h_at_r = float(polyval(char_poly(build_m4(n, s)), Fraction(r)))
     checks = {
         "excess_above_floor": excess >= _CURVE_FLOOR - _CURVE_FLOOR_TOL,
         "charpoly_nonnegative": h_at_r >= -_BOUND_MARGIN,
@@ -295,7 +300,7 @@ def check_case_analysis(n: int) -> PropertyReport:
 # expanded-formula transcription checks
 
 
-def _m1_expansion(x: float, inst: ProofInstance, alternating: bool) -> float:
+def _m1_expansion(x: int, inst: ProofInstance, alternating: bool) -> int:
     """Hand-expanded characteristic polynomial of the M1 template.
 
     The expansion one finds in print alternates the sign of the correction
@@ -304,25 +309,22 @@ def _m1_expansion(x: float, inst: ProofInstance, alternating: bool) -> float:
     """
     s, n, parts = inst.s, inst.n, inst.parts
     diag = [x - 2 * ni - s + 2 for ni in parts]
-    value = (x - n - s + 2) * float(np.prod(diag))
+    value = (x - n - s + 2) * prod(diag)
     for i, ni in enumerate(parts, start=1):
-        others = 1.0
-        for j, d in enumerate(diag, start=1):
-            if j != i:
-                others *= d
-        sign = (-1.0) ** i if alternating else -1.0
+        others = prod(d for j, d in enumerate(diag, start=1) if j != i)
+        sign = (-1) ** i if alternating else -1
         value += sign * s * ni * others
     return value
 
 
-def _m3_expansion(x: float, inst: ProofInstance) -> float:
+def _m3_expansion(x: int, inst: ProofInstance) -> int:
     n1, s, n, k = inst.parts[0], inst.s, inst.n, inst.k
     return (x - 2 * n1 - s + 2) * ((x - n - s + 2) * (x - s) - s * (k - 1)) - n1 * s * (
         x - s
     )
 
 
-def _m4_cubic(x: float, n: int, s: int) -> float:
+def _m4_cubic(x: int, n: int, s: int) -> int:
     return (
         x**3
         + (s - 3 * n + 6) * x**2
@@ -331,21 +333,15 @@ def _m4_cubic(x: float, n: int, s: int) -> float:
     )
 
 
-def _m5_quadratic(x: float, s: int) -> float:
+def _m5_quadratic(x: int, s: int) -> int:
     n = 2 * s + 2
     return x * x + (2 - 2 * s - n) * x + (s * n - 4 * s)
 
 
-def _char_poly_at(M: np.ndarray, x: float) -> float:
-    return float(np.linalg.det(x * np.eye(M.shape[0]) - M))
-
-
-_TRANSCRIPTION_REL_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class TranscriptionRecord:
-    """Agreement of one expanded formula with its matrix determinant."""
+    """Agreement of one expanded formula with its matrix's characteristic
+    polynomial."""
 
     polynomial: str
     subject: str
@@ -353,10 +349,8 @@ class TranscriptionRecord:
     agrees: bool
 
     def __str__(self) -> str:
-        # an agreeing error is rounding noise, so print the bound it met;
-        # a mismatch is of order 1 and its digits are stable
         if self.agrees:
-            status = f"agrees (max rel err <= {_TRANSCRIPTION_REL_TOL:.0e})"
+            status = "agrees (exact)"
         else:
             status = f"MISMATCH (max rel err {self.max_rel_err:.2e})"
         return f"{self.polynomial} at {self.subject}: {status}"
@@ -372,76 +366,45 @@ _TRANSCRIPTION_INSTANCES = (
 )
 
 
-def _sample_points(M: np.ndarray) -> list[float]:
-    rho = spectral_radius(M)
-    return [-1.5, 0.0, 0.7, rho / 2, rho - 0.3, rho + 1.0, 2 * rho + 1.3]
-
-
 def _compare(name, subject, M, formula) -> TranscriptionRecord:
+    """formula against det(xI - M) at x = 0..deg, in integers: two
+    polynomials of degree <= deg that agree at deg+1 points are identical."""
+    p = char_poly(M)
     worst = 0.0
-    for x in _sample_points(M):
-        reference = _char_poly_at(M, x)
-        err = abs(formula(x) - reference) / max(1.0, abs(reference))
-        worst = max(worst, err)
-    return TranscriptionRecord(name, subject, worst, worst <= _TRANSCRIPTION_REL_TOL)
+    for x in range(len(p)):
+        reference = polyval(p, x)
+        worst = max(worst, abs(formula(x) - reference) / max(1, abs(reference)))
+    return TranscriptionRecord(name, subject, worst, worst == 0)
 
 
 def verify_polynomial_transcriptions(
     instances: Sequence[ProofInstance] = _TRANSCRIPTION_INSTANCES,
 ) -> list[TranscriptionRecord]:
-    """Compare the expanded formulas for M1/M3/M4/M5 with determinant values.
+    """Compare the expanded formulas for M1/M3/M4/M5 with the exact
+    characteristic polynomials of their templates.
 
-    Seven sample points per subject, relative tolerance 1e-9.  Any mismatch is
-    reported by polynomial name and instance; the all-negative variant of the
-    M1 expansion is always checked alongside the alternating-sign one.
+    Any mismatch is reported by polynomial name and instance; the
+    all-negative variant of the M1 expansion is always checked alongside the
+    alternating-sign one.
     """
-    records = []
+    rows = []
     for inst in instances:
-        m1 = build_m1(inst)
-        records.append(
-            _compare(
-                "m1_expansion_alternating",
-                inst.describe(),
-                m1,
-                lambda x, inst=inst: _m1_expansion(x, inst, alternating=True),
-            )
-        )
-        records.append(
-            _compare(
-                "m1_expansion_all_negative",
-                inst.describe(),
-                m1,
-                lambda x, inst=inst: _m1_expansion(x, inst, alternating=False),
-            )
-        )
+        subject, m1 = inst.describe(), build_m1(inst)
+        for variant, alternating in (("alternating", True), ("all_negative", False)):
+            formula = partial(_m1_expansion, inst=inst, alternating=alternating)
+            rows.append((f"m1_expansion_{variant}", subject, m1, formula))
         if all(p == 1 for p in inst.parts[1:]):
-            records.append(
-                _compare(
-                    "m3_expansion",
-                    inst.describe(),
-                    build_m3(inst),
-                    lambda x, inst=inst: _m3_expansion(x, inst),
-                )
-            )
-    for n, s in ((6, 1), (8, 1), (10, 2), (12, 3), (14, 1), (16, 4)):
-        records.append(
-            _compare(
-                "m4_cubic",
-                f"n={n} s={s}",
-                build_m4(n, s),
-                lambda x, n=n, s=s: _m4_cubic(x, n, s),
-            )
-        )
-    for s in (1, 2, 3, 4, 5):
-        records.append(
-            _compare(
-                "m5_quadratic",
-                f"s={s} (n={2 * s + 2})",
-                build_m5(s),
-                lambda x, s=s: _m5_quadratic(x, s),
-            )
-        )
-    return records
+            formula = partial(_m3_expansion, inst=inst)
+            rows.append(("m3_expansion", subject, build_m3(inst), formula))
+    rows += [
+        ("m4_cubic", f"n={n} s={s}", build_m4(n, s), partial(_m4_cubic, n=n, s=s))
+        for n, s in ((6, 1), (8, 1), (10, 2), (12, 3), (14, 1), (16, 4))
+    ]
+    rows += [
+        ("m5_quadratic", f"s={s} (n={2 * s + 2})", build_m5(s), partial(_m5_quadratic, s=s))
+        for s in (1, 2, 3, 4, 5)
+    ]
+    return [_compare(*row) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +466,7 @@ class ProofSuiteResult:
 
     @property
     def failures(self) -> list[PropertyReport]:
-        return [r for r in self.reports if not r.skipped and not r.passed]
+        return [r for r in self.reports if r.status == "FAIL"]
 
     @property
     def passed(self) -> bool:

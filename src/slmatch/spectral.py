@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -147,51 +148,82 @@ def is_equitable(
     return True
 
 
-def _polyval(coeffs: np.ndarray, x: float) -> float:
-    acc = 0.0
-    for c in coeffs:
+def char_poly(M) -> list[int]:
+    """det(xI - M) of a square integer matrix, highest degree first.
+
+    Berkowitz's division-free recurrence: with M = [[a, R], [C, A]], the
+    characteristic polynomial of M is the first len(A) + 2 coefficients of
+    (1, -a, -RC, -RAC, -RA^2C, ...) convolved with that of A.
+    """
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {M.shape}")
+    if M.dtype.kind not in "iu":
+        raise InputError(f"char_poly needs integer entries, got dtype {M.dtype}")
+    rows = M.tolist()
+    n = len(rows)
+    poly = [1]
+    for k in range(n - 1, -1, -1):
+        R, A = rows[k][k + 1:], [row[k + 1:] for row in rows[k + 1:]]
+        column, v = [1, -rows[k][k]], [row[k] for row in rows[k + 1:]]
+        for _ in range(len(v)):
+            column.append(-sum(r * c for r, c in zip(R, v)))
+            v = [sum(a * c for a, c in zip(row, v)) for row in A]
+        poly = [
+            sum(column[i - j] * poly[j] for j in range(min(i + 1, len(poly))))
+            for i in range(len(column))
+        ]
+    return poly
+
+
+def polyval(coefficients: Sequence, x):
+    """Horner evaluation, highest degree first: exact on int and Fraction,
+    float on float."""
+    acc = 0
+    for c in coefficients:
         acc = acc * x + c
     return acc
 
 
-def largest_real_root(coefficients: Sequence[float], tol: float = 1e-12) -> float:
-    """Largest real root of a polynomial (coefficients highest degree first).
+def _sign_at(p: Sequence[int], x) -> int:
+    """Exact sign of the integer polynomial p at a float or Fraction x."""
+    num, den = x.as_integer_ratio()
+    value = polyval([c * den**i for i, c in enumerate(p)], num)  # den^deg p(x)
+    return (value > 0) - (value < 0)
 
-    Located via the companion matrix, then polished with Newton steps.
+
+def _largest_root(p: Sequence[int], anchor: int) -> float:
+    """The largest real root of the integer polynomial p, correctly rounded.
+
+    p(x + anchor) must have a negative constant term and exactly one sign
+    variation, so by Descartes' rule p has exactly one root above `anchor`
+    and is negative between the two.  Bisection over floats, with every sign
+    decided exactly, brackets that root between adjacent floats; the sign at
+    their exact midpoint picks the nearer one.  (A monic integer polynomial's
+    rational roots are integers, so no root falls on such a midpoint.)
     """
-    coeffs = np.asarray(coefficients, dtype=float).ravel()
-    nz = np.flatnonzero(coeffs)
-    if nz.size == 0:
-        raise InputError("the zero polynomial has no well-defined roots")
-    coeffs = coeffs[nz[0]:]
-    if coeffs.size == 1:
-        raise NumericalError("a nonzero constant has no real root")
-    if coeffs.size == 2:
-        return float(-coeffs[1] / coeffs[0])
-
-    deriv = coeffs[:-1] * np.arange(len(coeffs) - 1, 0, -1)
-    candidates = sorted(np.roots(coeffs), key=lambda z: z.real, reverse=True)
-    for z in candidates:
-        if abs(z.imag) > 1e-6 * max(1.0, abs(z)):
-            continue
-        x = float(z.real)
-        for _ in range(100):
-            fx = _polyval(coeffs, x)
-            dfx = _polyval(deriv, x)
-            if dfx == 0.0:
-                break
-            step = fx / dfx
-            x -= step
-            if abs(step) <= tol * max(1.0, abs(x)):
-                break
-        if abs(x - z.real) > 0.05 * max(1.0, abs(z.real)):
-            x = float(z.real)  # Newton wandered off; keep the companion root
-        return x
-    raise NumericalError("no real root found")
+    shifted = list(p)  # Taylor shift to p(x + anchor), one Horner pass per degree
+    for stop in range(len(shifted) - 1, 0, -1):
+        for j in range(1, stop + 1):
+            shifted[j] += anchor * shifted[j - 1]
+    signs = [c > 0 for c in shifted if c]
+    if shifted[-1] >= 0 or sum(a != b for a, b in zip(signs, signs[1:])) != 1:
+        raise NumericalError(f"cannot isolate the largest root of {list(p)} above {anchor}")
+    # Cauchy's bound on the roots of p(x + anchor)
+    lo, hi = float(anchor), float(anchor + 2 + max(map(abs, shifted[1:])) // shifted[0])
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            break
+        sign = _sign_at(p, mid)
+        if sign == 0:
+            return mid
+        lo, hi = (mid, hi) if sign < 0 else (lo, mid)
+    return lo if _sign_at(p, (Fraction(lo) + Fraction(hi)) / 2) > 0 else hi
 
 
-def _matching_threshold_cubic(n: int) -> list[float]:
-    return [1.0, -(3 * n - 7), n * (2 * n - 7), -2 * (n * n - 7 * n + 12)]
+def _matching_threshold_cubic(n: int) -> list[int]:
+    return [1, -(3 * n - 7), n * (2 * n - 7), -2 * (n * n - 7 * n + 12)]
 
 
 def _require_even_order(n, minimum: int = 4) -> int:
@@ -205,9 +237,10 @@ def _require_even_order(n, minimum: int = 4) -> int:
 
 @lru_cache(maxsize=None)
 def r_of_n(n: int) -> float:
-    """Largest root of x^3 - (3n-7)x^2 + n(2n-7)x - 2(n^2-7n+12)."""
+    """Largest root of x^3 - (3n-7)x^2 + n(2n-7)x - 2(n^2-7n+12), correctly
+    rounded."""
     n = _require_even_order(n)
-    return largest_real_root(_matching_threshold_cubic(n))
+    return _largest_root(_matching_threshold_cubic(n), 2 * n - 6)
 
 
 def closed_form_r(n: int) -> float:
@@ -239,15 +272,19 @@ def closed_form_r(n: int) -> float:
     return float(value.real)
 
 
+def threshold_poly(n: int) -> list[int]:
+    """Integer polynomial whose largest root is q1_threshold(n): the cubic of
+    r_of_n, except at n = 6 and 8, where K_s joined to s+2 isolated vertices
+    (s = 2, 3) wins with roots 4 + 2 sqrt 3 and 6 + 2 sqrt 6."""
+    n = _require_even_order(n)
+    return {6: [1, -8, 4], 8: [1, -12, 12]}.get(n) or _matching_threshold_cubic(n)
+
+
 @lru_cache(maxsize=None)
 def q1_threshold(n: int) -> float:
-    """Spectral-radius threshold above which a perfect matching is guaranteed."""
-    n = _require_even_order(n)
-    if n == 6:
-        return 4.0 + 2.0 * math.sqrt(3.0)
-    if n == 8:
-        return 6.0 + 2.0 * math.sqrt(6.0)
-    return r_of_n(n)
+    """Spectral-radius threshold above which a perfect matching is guaranteed,
+    correctly rounded."""
+    return _largest_root(threshold_poly(n), 2 * int(n) - 6)
 
 
 @lru_cache(maxsize=None)

@@ -155,6 +155,13 @@ def test_verify_random_seeded():
     assert "counterexamples 0\n" in out
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_random_that_cannot_sample_exits_2(jobs, capsys):
+    argv = ["verify", "--random", "12", "--p", "0.01", "--count", "3", "--jobs", jobs]
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err.startswith("error: gave up after ")
+
+
 def test_verify_random_needs_parameters():
     code, _ = run_cli(["verify", "--random", "8"])
     assert code == 2
@@ -240,7 +247,50 @@ def test_proof_check_text_ignores_rounding_noise(monkeypatch):
     radius = proof_harness.spectral_radius
     monkeypatch.setattr(proof_harness, "spectral_radius", lambda M: radius(M) * (1 + 1e-14))
     assert run_cli(argv) == (code, before)
-    assert "agrees (max rel err <= 1e-09)" in before
+    assert "agrees (exact)" in before
+
+
+PROOF_CHECK_ALL_40 = """\
+case-analysis pass 49 skip 0 fail 0
+h-bound pass 171 skip 0 fail 0
+merge-singletons pass 164 skip 86 fail 0
+root-bounds pass 250 skip 0 fail 0
+vertex-shift pass 128 skip 122 fail 0
+transcription m1_expansion_alternating at s=1 parts=[3, 1, 1] (n=6): MISMATCH (max rel err 8.33e-01)
+transcription m1_expansion_all_negative at s=1 parts=[3, 1, 1] (n=6): agrees (exact)
+transcription m3_expansion at s=1 parts=[3, 1, 1] (n=6): agrees (exact)
+transcription m1_expansion_alternating at s=1 parts=[1, 1, 1] (n=4): MISMATCH (max rel err 1.80e+01)
+transcription m1_expansion_all_negative at s=1 parts=[1, 1, 1] (n=4): agrees (exact)
+transcription m3_expansion at s=1 parts=[1, 1, 1] (n=4): agrees (exact)
+transcription m1_expansion_alternating at s=1 parts=[7, 1, 1] (n=10): MISMATCH (max rel err 3.10e-01)
+transcription m1_expansion_all_negative at s=1 parts=[7, 1, 1] (n=10): agrees (exact)
+transcription m3_expansion at s=1 parts=[7, 1, 1] (n=10): agrees (exact)
+transcription m1_expansion_alternating at s=2 parts=[3, 1, 1, 1] (n=8): MISMATCH (max rel err 4.00e+01)
+transcription m1_expansion_all_negative at s=2 parts=[3, 1, 1, 1] (n=8): agrees (exact)
+transcription m3_expansion at s=2 parts=[3, 1, 1, 1] (n=8): agrees (exact)
+transcription m1_expansion_alternating at s=2 parts=[5, 3, 1, 1] (n=12): MISMATCH (max rel err 3.20e+01)
+transcription m1_expansion_all_negative at s=2 parts=[5, 3, 1, 1] (n=12): agrees (exact)
+transcription m1_expansion_alternating at s=3 parts=[1, 1, 1, 1, 1] (n=8): MISMATCH (max rel err 1.20e+01)
+transcription m1_expansion_all_negative at s=3 parts=[1, 1, 1, 1, 1] (n=8): agrees (exact)
+transcription m3_expansion at s=3 parts=[1, 1, 1, 1, 1] (n=8): agrees (exact)
+transcription m4_cubic at n=6 s=1: agrees (exact)
+transcription m4_cubic at n=8 s=1: agrees (exact)
+transcription m4_cubic at n=10 s=2: agrees (exact)
+transcription m4_cubic at n=12 s=3: agrees (exact)
+transcription m4_cubic at n=14 s=1: agrees (exact)
+transcription m4_cubic at n=16 s=4: agrees (exact)
+transcription m5_quadratic at s=1 (n=4): agrees (exact)
+transcription m5_quadratic at s=2 (n=6): agrees (exact)
+transcription m5_quadratic at s=3 (n=8): agrees (exact)
+transcription m5_quadratic at s=4 (n=10): agrees (exact)
+transcription m5_quadratic at s=5 (n=12): agrees (exact)
+"""
+
+
+def test_proof_check_all_golden():
+    code, out = run_cli(["proof-check", "--all", "--nmax", "40"])
+    assert code == 0
+    assert out == PROOF_CHECK_ALL_40
 
 
 def test_proof_check_bad_instance():

@@ -11,6 +11,7 @@ from slmatch import (
     build_m3,
     build_m4,
     build_m5,
+    char_poly,
     check_case_analysis,
     check_h_bound,
     check_merge_singletons,
@@ -121,6 +122,12 @@ def test_build_m4_at_s1_is_the_extremal_quotient():
         [n - 3, n - 1, 2],
         [0, 1, 1],
     ]
+
+
+def test_build_m4_at_s1_has_the_threshold_cubic_as_characteristic_polynomial():
+    for n in range(6, 201, 2):
+        cubic = [1, -(3 * n - 7), n * (2 * n - 7), -2 * (n * n - 7 * n + 12)]
+        assert char_poly(build_m4(n, 1)) == cubic, n
 
 
 def test_build_m4_validation():

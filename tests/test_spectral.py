@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from slmatch import (
     InputError,
     NumericalError,
     build_graph,
+    char_poly,
     closed_form_r,
     complete_graph,
     edge_threshold,
@@ -19,7 +21,7 @@ from slmatch import (
     extremal_h,
     is_equitable,
     join,
-    largest_real_root,
+    polyval,
     q1,
     q1_threshold,
     quotient_matrix,
@@ -29,6 +31,7 @@ from slmatch import (
     signless_laplacians,
     spectral_radius,
 )
+from slmatch import spectral
 from slmatch.generate import edge_mask_to_graph
 
 
@@ -218,29 +221,71 @@ def test_perron_degree_bounds():
         assert top + 1 <= radius <= 2 * top + 1e-9
 
 
-def test_largest_real_root_examples():
-    assert abs(largest_real_root([1, -5, 4, 0]) - 4.0) <= 1e-12  # x(x-1)(x-4)
-    # quadratic from the singleton-components case at n=6, s=2
-    n, s = 6, 2
-    assert abs(
-        largest_real_root([1, -(2 * s + n - 2), s * n - 4 * s]) - (4 + 2 * math.sqrt(3))
-    ) <= 1e-12
-    assert largest_real_root([1, -7]) == 7.0
-    assert abs(largest_real_root([2, 0, -8]) - 2.0) <= 1e-12
+def _fraction_det(rows):
+    """Determinant by Gaussian elimination over the rationals."""
+    A = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for i in range(len(A)):
+        pivot = next((r for r in range(i, len(A)) if A[r][i]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            A[i], A[pivot] = A[pivot], A[i]
+            det = -det
+        det *= A[i][i]
+        for r in range(i + 1, len(A)):
+            factor = A[r][i] / A[i][i]
+            A[r] = [a - factor * b for a, b in zip(A[r], A[i])]
+    return det
 
 
-def test_largest_real_root_errors():
-    with pytest.raises(NumericalError):
-        largest_real_root([1, 0, 1])  # x^2 + 1
-    with pytest.raises(NumericalError):
-        largest_real_root([3.0])
+@st.composite
+def integer_matrices(draw, max_order=7):
+    n = draw(st.integers(0, max_order))
+    entries = draw(st.lists(st.integers(-20, 20), min_size=n * n, max_size=n * n))
+    return np.array(entries, dtype=int).reshape(n, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_matrices())
+def test_char_poly_matches_fraction_determinant(M):
+    p = char_poly(M)
+    n = M.shape[0]
+    assert len(p) == n + 1 and p[0] == 1
+    assert all(type(c) is int for c in p)
+    for x in range(-2, n + 2):
+        assert polyval(p, x) == _fraction_det(x * np.eye(n, dtype=int) - M)
+
+
+def test_char_poly_rejects_non_integer_or_non_square_input():
     with pytest.raises(InputError):
-        largest_real_root([0.0, 0.0])
+        char_poly(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(InputError):
+        char_poly(np.zeros((2, 3), dtype=int))
 
 
-def test_largest_real_root_double_root():
-    # (x-2)^2 (x+1)
-    assert abs(largest_real_root([1, -3, 0, 4]) - 2.0) <= 1e-6
+def test_polyval_is_exact_on_fractions_and_float_on_floats():
+    assert polyval([1, 0, -2], Fraction(3, 2)) == Fraction(1, 4)
+    assert polyval([1, 0, -2], 1.5) == 0.25
+    assert polyval([2, -3, 1], 4) == 21
+
+
+def test_largest_root_refuses_an_anchor_that_does_not_isolate_it():
+    assert spectral._largest_root([1, 0, -4], 0) == 2.0
+    with pytest.raises(NumericalError):
+        spectral._largest_root([1, 0, -4], 5)  # both roots lie below 5
+    with pytest.raises(NumericalError):
+        spectral._largest_root([1, 0, -4], -3)  # both roots lie above -3
+
+
+def test_r_of_n_is_the_correctly_rounded_root():
+    for n in range(4, 4097, 2):
+        cubic = [1, -(3 * n - 7), n * (2 * n - 7), -2 * (n * n - 7 * n + 12)]
+        r = r_of_n(n)
+        assert type(r) is float
+        below = (Fraction(math.nextafter(r, -math.inf)) + Fraction(r)) / 2
+        above = (Fraction(math.nextafter(r, math.inf)) + Fraction(r)) / 2
+        assert polyval(cubic, below) < 0 < polyval(cubic, above), n
 
 
 def test_r_of_n_values():

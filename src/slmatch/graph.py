@@ -46,7 +46,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self._adj) // 2
+        return sum(map(int.bit_count, self._adj)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, sorted."""

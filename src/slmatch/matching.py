@@ -1,10 +1,14 @@
 """Maximum matchings, perfect-matching tests, and deficiency witnesses.
 
-The workhorse is an augmenting-path search with blossom contraction (O(n^3)).
-Once the matching is maximum, one extra labelling pass started from every
-exposed vertex splits the vertices into outer / inner / unreached; the inner
-set S maximises o(G-S) - |S| and certifies the deficiency.  A subset
-enumeration oracle gives an independent check for small graphs.
+The workhorse is an augmenting-path search with blossom contraction (O(n^3))
+that runs on the adjacency bitmasks the graph already stores: the greedy warm
+start takes each vertex's lowest free neighbour as the lowest bit of a mask,
+and the search expands a vertex's mask into neighbours, lowest first, only
+when it pops that vertex.  Once the matching is maximum, one extra labelling
+pass started from every exposed vertex splits the vertices into outer / inner
+/ unreached; the inner set S maximises o(G-S) - |S| and certifies the
+deficiency.  A subset enumeration oracle gives an independent check for small
+graphs.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CapacityError
-from .graph import Graph, deficiency
+from .graph import Graph, _bits, deficiency
 
 _NONE = -1
 
@@ -27,10 +31,6 @@ class MatchingResult:
     size: int
     edges: tuple[tuple[int, int], ...]
     witness: tuple[int, ...] | None
-
-
-def _adjacency_lists(G: Graph) -> list[list[int]]:
-    return [G.neighbors(v) for v in range(G.n)]
 
 
 def _lca(base, match, parent, a, b, n):
@@ -58,7 +58,8 @@ def _mark_path(base, match, parent, in_blossom, v, stop, child):
 
 
 def _search(adj, n, match, roots, augment):
-    """Grow alternating trees from `roots`, contracting blossoms.
+    """Grow alternating trees from `roots` over the adjacency masks `adj`,
+    contracting blossoms.
 
     With augment=True the search stops at the first augmenting path, flips it
     and returns True.  With augment=False (used only when the matching is
@@ -73,7 +74,7 @@ def _search(adj, n, match, roots, augment):
         queue.append(r)
     while queue:
         v = queue.popleft()
-        for to in adj[v]:
+        for to in _bits(adj[v]):
             if base[v] == base[to] or match[v] == to:
                 continue
             if outer[to]:
@@ -114,15 +115,15 @@ def _search(adj, n, match, roots, augment):
 def maximum_matching(G: Graph) -> MatchingResult:
     """Maximum matching of G; deterministic for a fixed input."""
     n = G.n
-    adj = _adjacency_lists(G)
+    adj = G.adjacency_masks()
     match = [_NONE] * n
-    for v in range(n):  # greedy warm start
-        if match[v] == _NONE:
-            for u in adj[v]:
-                if match[u] == _NONE:
-                    match[v] = u
-                    match[u] = v
-                    break
+    free = (1 << n) - 1
+    for v in range(n):  # greedy warm start: v's lowest free neighbour
+        if match[v] == _NONE and (candidates := adj[v] & free):
+            u = (candidates & -candidates).bit_length() - 1
+            match[v] = u
+            match[u] = v
+            free ^= (1 << v) | (1 << u)
     for v in range(n):
         if match[v] == _NONE:
             _search(adj, n, match, [v], augment=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import threading
 from collections import Counter
 from contextlib import closing
@@ -72,7 +73,20 @@ class VerdictRecord:
         return record
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        """Byte for byte json.dumps(self.to_dict()), formatted directly: finite
+        floats via repr as json does, strings via json.dumps (graph6 may hold a
+        backslash)."""
+        witness = "null"
+        if self.witness is not None:
+            witness = f"[{', '.join(map(str, self.witness))}]"
+        return (
+            f'{{"graph6": {json.dumps(self.graph6)}, "n": {self.n}, '
+            f'"edges": {self.edges}, "q1": {self.q1!r}, '
+            f'"q1_threshold": {self.q1_threshold!r}, '
+            f'"edge_threshold": {self.edge_threshold}, '
+            f'"has_pm": {"true" if self.has_pm else "false"}, '
+            f'"verdict": {json.dumps(self.verdict)}, "witness": {witness}}}'
+        )
 
     @property
     def edge_condition_violated(self) -> bool:
@@ -192,10 +206,14 @@ _CHUNKS_IN_FLIGHT_PER_JOB = 4
 
 
 def _iter_records(graphs: Iterable[Graph], jobs: int) -> Iterator[VerdictRecord]:
-    if jobs <= 1:
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
+    # more workers than CPUs only add processes, never speed
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1:
         yield from chain.from_iterable(map(check_graphs, _chunks(graphs)))
         return
-    slots = threading.Semaphore(_CHUNKS_IN_FLIGHT_PER_JOB * jobs)
+    slots = threading.Semaphore(_CHUNKS_IN_FLIGHT_PER_JOB * workers)
     stopped = threading.Event()
 
     def admitted() -> Iterator[list[Graph]]:
@@ -205,7 +223,7 @@ def _iter_records(graphs: Iterable[Graph], jobs: int) -> Iterator[VerdictRecord]
                 return
             yield chunk
 
-    with multiprocessing.Pool(jobs) as pool:
+    with multiprocessing.Pool(workers) as pool:
         try:
             # imap keeps input order: --jobs changes the speed, not the output
             for records in pool.imap(check_graphs, admitted()):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import slmatch
-from slmatch import empty_graph, encode_graph6, proof_harness, sample_connected
+from slmatch import empty_graph, encode_graph6, proof_harness, sample_connected, verify
 from slmatch.cli import main
 from slmatch.spectral import MAX_DENSE_ORDER
 
@@ -160,6 +160,41 @@ def test_verify_random_that_cannot_sample_exits_2(jobs, capsys):
     argv = ["verify", "--random", "12", "--p", "0.01", "--count", "3", "--jobs", jobs]
     assert run_cli(argv) == (2, "")
     assert capsys.readouterr().err.startswith("error: gave up after ")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_jobs_below_one_exits_2(jobs, capsys):
+    assert run_cli(["verify", "--exhaustive", "4", "--jobs", jobs]) == (2, "")
+    assert capsys.readouterr().err == f"error: jobs must be at least 1, got {jobs}\n"
+
+
+@pytest.mark.parametrize(
+    ("jobs", "cpus", "pools"), [(5000, 3, [3]), (2, 3, [2]), (5000, None, [])]
+)
+def test_verify_pool_is_capped_at_the_cpu_count(jobs, cpus, pools, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records its size and maps in this process: no worker is started."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable):
+            return map(func, iterable)
+
+    monkeypatch.setattr(verify.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    assert run_cli(["verify", "--exhaustive", "4", "--jobs", str(jobs)]) == run_cli(
+        ["verify", "--exhaustive", "4"]
+    )
+    assert sizes == pools
 
 
 def test_verify_random_needs_parameters():

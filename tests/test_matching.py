@@ -1,7 +1,10 @@
 """Blossom matching cross-checked against brute-force deficiency enumeration."""
 
+import hashlib
+import json
 import random
 
+import networkx as nx
 import pytest
 
 from slmatch import (
@@ -9,8 +12,10 @@ from slmatch import (
     all_connected,
     build_graph,
     complete_graph,
+    deficiency,
     delete_vertices,
     empty_graph,
+    encode_graph6,
     extremal_h,
     has_perfect_matching,
     join,
@@ -118,3 +123,52 @@ def test_adding_an_edge_never_decreases_matching_number():
         extra = non_edges[rng.randrange(len(non_edges))]
         bigger = build_graph(n, edges + [extra])
         assert maximum_matching(bigger).size >= maximum_matching(G).size
+
+
+def _networkx_matching_number(G):
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges())
+    return len(nx.max_weight_matching(H, maxcardinality=True))
+
+
+def _check_against_networkx(G):
+    result = maximum_matching(G)
+    assert result.size == _networkx_matching_number(G)
+    if result.witness is None:
+        assert 2 * result.size == G.n
+    else:
+        assert deficiency(G, result.witness) == G.n - 2 * result.size
+
+
+@pytest.mark.parametrize("n", [64, 100, 250])
+def test_matching_number_agrees_with_networkx_on_dense_graphs(n):
+    rng = random.Random(n)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+    _check_against_networkx(build_graph(n, edges))
+
+
+_PATH_1000 = [(i, i + 1) for i in range(999)]
+_SPARSE_ORDER_1000 = {
+    "tree": lambda: build_graph(1000, nx.random_labeled_tree(1000, seed=7).edges()),
+    # path 0..499 with a pendant 500+i at each i: the greedy warm start pairs
+    # the path vertices, so every pendant is left to the augmenting search
+    "comb": lambda: build_graph(1000, _PATH_1000[:499] + [(i, 500 + i) for i in range(500)]),
+    "path": lambda: build_graph(1000, _PATH_1000),
+}
+
+
+@pytest.mark.parametrize("name", list(_SPARSE_ORDER_1000))
+def test_matching_number_agrees_with_networkx_on_sparse_order_1000(name):
+    _check_against_networkx(_SPARSE_ORDER_1000[name]())
+
+
+def test_blossom_output_is_pinned_on_every_connected_6_vertex_graph():
+    # exact edges and witnesses, independent of any eigensolver
+    digest = hashlib.sha256()
+    for G in all_connected(6):
+        m = maximum_matching(G)
+        digest.update((json.dumps([encode_graph6(G), m.edges, m.witness]) + "\n").encode())
+    assert digest.hexdigest() == (
+        "eb1e4a680d8cf1b17f614b5669c7e5821482cf7ab14c7879324df77a9a95b107"
+    )

@@ -11,6 +11,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import slmatch
 from slmatch import (
@@ -22,6 +24,7 @@ from slmatch import (
     VERDICT_HOLDS,
     VERDICT_HYPOTHESIS,
     CorpusSummary,
+    all_connected,
     build_graph,
     check_graph,
     complete_graph,
@@ -234,6 +237,30 @@ def test_check_graph_deterministic():
     assert a == b  # bitwise-identical floats included
 
 
+_FLOATS = st.one_of(
+    st.sampled_from([1e16, 5e-324, 0.0]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+
+_RECORDS = st.builds(
+    VerdictRecord,
+    # the graph6 alphabet, bytes 63..126, holds the backslash
+    graph6=st.text(st.sampled_from([chr(b) for b in range(63, 127)])),
+    n=st.integers(min_value=0),
+    edges=st.integers(min_value=0),
+    q1=_FLOATS,
+    q1_threshold=_FLOATS,
+    edge_threshold=st.integers(min_value=0),
+    has_pm=st.booleans(),
+    verdict=st.sampled_from(
+        [VERDICT_HOLDS, VERDICT_HYPOTHESIS, VERDICT_BOUNDARY, VERDICT_COUNTEREXAMPLE]
+    ),
+    witness=st.one_of(
+        st.none(), st.just(()), st.lists(st.integers(0, 10**4), max_size=300).map(tuple)
+    ),
+)
+
+
 def test_jsonl_field_order_and_types():
     record = check_graph(extremal_h(6))
     payload = json.loads(record.to_json())
@@ -242,6 +269,20 @@ def test_jsonl_field_order_and_types():
     payload = json.loads(check_graph(complete_graph(4)).to_json())
     assert payload["witness"] is None
     assert isinstance(payload["edge_threshold"], int)
+    sink = io.StringIO()
+    run_exhaustive(4, out=sink)
+    records = check_graphs(list(all_connected(4)))
+    assert len(records) == 38
+    assert sink.getvalue() == "".join(r.to_json() + "\n" for r in records)
+    for record in records:
+        assert record.to_json() == json.dumps(record.to_dict())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RECORDS)
+@example(VerdictRecord("\\", 1, 0, 1e16, 5e-324, 0, False, VERDICT_BOUNDARY, ()))
+def test_to_json_is_json_dumps_of_to_dict(record):
+    assert record.to_json() == json.dumps(record.to_dict())
 
 
 def test_witness_recomputation_invariant():

@@ -28,6 +28,11 @@ from .graph import Graph
 MAX_DENSE_ORDER = 4096
 
 
+def _require_dense_order(n: int) -> None:
+    if n > MAX_DENSE_ORDER:
+        raise CapacityError(f"dense Q supports orders up to {MAX_DENSE_ORDER}, got {n}")
+
+
 def signless_laplacians(graphs: Sequence[Graph]) -> np.ndarray:
     """Stacked Q = D + A of B >= 1 graphs of one order n <= MAX_DENSE_ORDER,
     a (B, n, n) array.
@@ -38,8 +43,7 @@ def signless_laplacians(graphs: Sequence[Graph]) -> np.ndarray:
     if not graphs or any(G.n != graphs[0].n for G in graphs):
         raise InputError("expected one or more graphs, all of one order")
     n = graphs[0].n
-    if n > MAX_DENSE_ORDER:
-        raise CapacityError(f"dense Q supports orders up to {MAX_DENSE_ORDER}, got {n}")
+    _require_dense_order(n)
     width = (n + 7) // 8
     raw = b"".join([m.to_bytes(width, "little") for G in graphs for m in G.adjacency_masks()])
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
@@ -226,12 +230,12 @@ def _matching_threshold_cubic(n: int) -> list[int]:
     return [1, -(3 * n - 7), n * (2 * n - 7), -2 * (n * n - 7 * n + 12)]
 
 
-def _require_even_order(n, minimum: int = 4) -> int:
+def _require_even_order(n, minimum: int = 4, name: str = "order") -> int:
     if not isinstance(n, (int, np.integer)):
-        raise InputError(f"order must be an integer, got {n!r}")
+        raise InputError(f"{name} must be an integer, got {n!r}")
     n = int(n)
     if n < minimum or n % 2:
-        raise InputError(f"order must be an even integer >= {minimum}, got {n}")
+        raise InputError(f"{name} must be an even integer >= {minimum}, got {n}")
     return n
 
 

@@ -1,12 +1,21 @@
 import pytest
 
-from slmatch import build_graph
+from slmatch import build_graph, proof_harness
 
 PETERSEN_EDGES = [
     (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),      # outer cycle
     (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),      # inner pentagram
     (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),      # spokes
 ]
+
+
+@pytest.fixture(autouse=True)
+def _fresh_scenario_cache():
+    """Every test starts and ends with an empty scenario-q1 cache, so a test
+    that rebinds q1 never reads a value another test cached."""
+    proof_harness._scenario_q1.cache_clear()
+    yield
+    proof_harness._scenario_q1.cache_clear()
 
 
 @pytest.fixture

@@ -335,6 +335,22 @@ def test_proof_check_bad_instance():
     assert code == 2  # k < s+2
 
 
+@pytest.mark.parametrize("nmax", ["13", "15", "3", "2", "-4"])
+def test_proof_check_all_rejects_odd_or_small_nmax(nmax, capsys):
+    assert run_cli(["proof-check", "--all", "--nmax", nmax]) == (2, "")
+    assert f"error: nmax must be an even integer >= 4, got {nmax}" in capsys.readouterr().err
+
+
+def test_proof_check_oversize_instance_exits_2_before_building(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("an oversize scenario was built")
+
+    monkeypatch.setattr(proof_harness, "proof_graph", refuse)
+    monkeypatch.setattr(proof_harness, "build_m1", refuse)
+    assert run_cli(["proof-check", "--instance", "1,39999,1,1"]) == (2, "")
+    assert "dense Q supports orders up to 4096, got 40002" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2():
     assert run_cli(["frobnicate"])[0] == 2
 

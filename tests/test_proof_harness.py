@@ -1,9 +1,12 @@
 """Proof-step property checks on clique-join deficiency scenarios."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from slmatch import (
+    CapacityError,
     InputError,
     ProofInstance,
     build_m1,
@@ -19,6 +22,7 @@ from slmatch import (
     check_vertex_shift,
     exhaustive_instances,
     is_equitable,
+    proof_harness,
     q1,
     quotient_matrix,
     r_l_of_n,
@@ -311,3 +315,81 @@ def test_run_proof_suite_small():
     assert not result.failures
     names = {r.polynomial for r in result.transcriptions}
     assert "m4_cubic" in names and "m1_expansion_alternating" in names
+
+
+# ---------------------------------------------------------------------------
+# the scenario-q1 cache
+
+SCENARIOS_TO_16 = [inst for n in range(4, 17, 2) for inst in exhaustive_instances(n)]
+
+
+def _scenario_checks(inst):
+    return check_root_bounds(inst), check_vertex_shift(inst), check_merge_singletons(inst)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+def test_each_scenario_is_solved_once(monkeypatch, order):
+    solved = Counter()
+    real_q1 = proof_harness.q1
+
+    def counting_q1(G):
+        solved[tuple(G.adjacency_masks())] += 1
+        return real_q1(G)
+
+    monkeypatch.setattr(proof_harness, "q1", counting_q1)
+    distinct = set(SCENARIOS_TO_16)
+    for inst in SCENARIOS_TO_16[::order]:
+        _scenario_checks(inst)
+        # every shifted or merged image is itself a scenario of the sweep
+        assert {shifted_instance(inst), merged_instance(inst)} - {None} <= distinct
+    assert len(solved) == len(distinct) == 163
+    assert set(solved.values()) == {1}
+    for inst in SCENARIOS_TO_16[::-order]:
+        _scenario_checks(inst)
+    assert sum(solved.values()) == len(distinct)
+
+
+def test_cached_details_equal_a_fresh_solve():
+    for inst in SCENARIOS_TO_16[::-1]:
+        _scenario_checks(inst)  # every value below is read from the cache
+    for inst in SCENARIOS_TO_16:
+        root, shift, merge = _scenario_checks(inst)
+        assert root.details["graph_q1"] == q1(inst.graph())
+        for report, moved in ((shift, shifted_instance(inst)), (merge, merged_instance(inst))):
+            if moved is None:
+                assert report.skipped and report.details == {}
+            else:
+                fresh = {"before": q1(inst.graph()), "after": q1(moved.graph())}
+                assert report.details == fresh
+
+
+def test_reordered_parts_share_one_cache_entry():
+    a = proof_harness._scenario_q1(ProofInstance(1, (1, 3, 1)))
+    b = proof_harness._scenario_q1(ProofInstance(1, (3, 1, 1)))
+    info = proof_harness._scenario_q1.cache_info()
+    assert a == b
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_scenario_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(proof_harness, "proof_graph", lambda s, parts: None)
+    monkeypatch.setattr(proof_harness, "q1", lambda G: 0.0)
+    bound = proof_harness._scenario_q1.cache_info().maxsize
+    assert bound == 1024
+    for j in range(bound + 10):
+        proof_harness._scenario_q1(ProofInstance(1, (2 * j + 1, 1, 1)))
+    info = proof_harness._scenario_q1.cache_info()
+    assert (info.misses, info.currsize) == (bound + 10, bound)
+
+
+@pytest.mark.parametrize("check", [check_root_bounds, check_vertex_shift, check_merge_singletons])
+def test_oversize_scenario_is_refused_before_it_is_built(monkeypatch, check):
+    def refuse(*args):
+        raise AssertionError("an oversize scenario was built")
+
+    monkeypatch.setattr(proof_harness, "proof_graph", refuse)
+    monkeypatch.setattr(proof_harness, "build_m1", refuse)
+    with pytest.raises(CapacityError, match="dense Q supports orders up to 4096, got 4098"):
+        check(ProofInstance(1, (4095, 1, 1)))
+    # at the cap itself nothing is refused (this check has nothing to build)
+    assert check_vertex_shift(ProofInstance(1, (4093, 1, 1))).skipped

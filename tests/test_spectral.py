@@ -337,3 +337,115 @@ def test_edge_threshold():
 def test_extremal_family_attains_edge_threshold():
     for n in [4] + list(range(10, 41, 2)):
         assert extremal_h(n).edge_count == edge_threshold(n)
+
+
+# --- symmetric matrices at and above spectral._KRYLOV_MIN_ORDER: Lanczos with
+# a Collatz-Wielandt bound, eigvalsh when the bound does not pass
+
+_CUTOFF = spectral._KRYLOV_MIN_ORDER
+
+
+def _connected_gnp(n, p, seed):
+    """G(n, p) made connected by the edges of a random spanning path."""
+    rng = np.random.default_rng(seed)
+    A = np.triu(rng.random((n, n)) < p, 1)
+    order = rng.permutation(n)
+    A[np.minimum(order[:-1], order[1:]), np.maximum(order[:-1], order[1:])] = True
+    u, v = np.nonzero(A)
+    return build_graph(n, zip(u.tolist(), v.tolist()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(_CUTOFF, _CUTOFF + 40),
+    p=st.floats(0.02, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_krylov_radius_agrees_with_eigvalsh(n, p, seed):
+    Q = signless_laplacian(_connected_gnp(n, p, seed))
+    expected = np.linalg.eigvalsh(Q)[-1]
+    assert abs(spectral_radius(Q) - expected) <= 1e-12 * max(1.0, expected)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The orders of the matrices `eigvalsh` solves from here on: after a
+    test's own reference calls are cleared, the Lanczos runs that gave up."""
+    orders = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(M):
+        orders.append(np.shape(M)[-1])
+        return eigvalsh(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return orders
+
+
+def test_krylov_accepts_a_dense_graph_and_falls_back_on_a_path(fallbacks):
+    dense = signless_laplacian(_connected_gnp(_CUTOFF, 0.5, 1))
+    path = signless_laplacian(build_graph(_CUTOFF, [(i, i + 1) for i in range(_CUTOFF - 1)]))
+    expected = np.linalg.eigvalsh(dense)[-1], np.linalg.eigvalsh(path)[-1]
+    fallbacks.clear()
+    theta = spectral._lanczos_top(dense)
+    assert type(theta) is float
+    assert abs(theta - expected[0]) <= 1e-12 * theta
+    assert fallbacks == []
+    theta = spectral._lanczos_top(path)
+    assert type(theta) is float and theta == expected[1]
+    assert fallbacks == [_CUTOFF]
+
+
+def test_krylov_stack_matches_its_matrices_one_by_one():
+    gs = [_connected_gnp(_CUTOFF, p, seed) for seed, p in enumerate((0.5, 0.9, 0.03, 0.0))]
+    stack = signless_laplacians(gs)
+    radii = spectral_radius(stack)
+    assert radii.shape == (4,)
+    assert radii.tolist() == [spectral_radius(M) for M in stack] == [q1(G) for G in gs]
+
+
+def test_krylov_degenerate_inputs(fallbacks):
+    n = _CUTOFF + 10
+    assert spectral_radius(np.zeros((n, n))) == 0.0
+    assert fallbacks == [n]
+    # block-diagonal: the larger block's radius, whichever block comes first
+    small = signless_laplacian(_connected_gnp(60, 0.5, 3))
+    large = signless_laplacian(_connected_gnp(n - 60, 0.5, 4))
+    for first, second in ((small, large), (large, small)):
+        M = np.zeros((n, n))
+        M[: len(first), : len(first)] = first
+        M[len(first):, len(first):] = second
+        expected = np.linalg.eigvalsh(large)[-1]
+        assert abs(spectral_radius(M) - expected) <= 1e-12 * expected
+    # an isolated vertex leaves a zero row the start vector never leaves, so
+    # the bound cannot pass and eigvalsh answers
+    G = _connected_gnp(n - 1, 0.5, 5)
+    Q = signless_laplacian(build_graph(n, G.edges()))
+    expected = np.linalg.eigvalsh(Q)[-1]
+    fallbacks.clear()
+    assert spectral_radius(Q) == expected
+    assert fallbacks == [n]
+    assert abs(spectral_radius(Q) - q1(G)) <= 1e-12 * q1(G)
+
+
+class _CountingMatrix(np.ndarray):
+    """A matrix that counts its products with vectors."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        if self.ndim == 2:
+            _CountingMatrix.products += 1
+        return np.asarray(self) @ other
+
+
+def test_krylov_fallback_on_a_path_is_bounded():
+    # Q(P_1000) has relative gap ~1e-5: no short Lanczos run converges, and
+    # the Ritz-gap test gives up long before the step budget
+    Q = signless_laplacian(build_graph(1000, [(i, i + 1) for i in range(999)]))
+    counted = Q.view(_CountingMatrix)
+    _CountingMatrix.products = 0
+    assert spectral._lanczos_top(counted) == np.linalg.eigvalsh(Q)[-1]
+    assert 0 < _CountingMatrix.products <= spectral._KRYLOV_STEPS
+    assert _CountingMatrix.products <= 8
+    assert spectral_radius(Q) == np.linalg.eigvalsh(Q)[-1]

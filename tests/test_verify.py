@@ -45,7 +45,7 @@ from slmatch import (
     sharpness_report,
 )
 from slmatch.errors import CapacityError
-from slmatch.spectral import MAX_DENSE_ORDER, q1
+from slmatch.spectral import _KRYLOV_MIN_ORDER, MAX_DENSE_ORDER, q1
 from slmatch.verify import (
     _BATCH_ENTRIES,
     _CHUNKS_IN_FLIGHT_PER_JOB,
@@ -275,6 +275,19 @@ def test_jsonl_field_order_and_types():
     assert len(records) == 38
     assert sink.getvalue() == "".join(r.to_json() + "\n" for r in records)
     for record in records:
+        assert record.to_json() == json.dumps(record.to_dict())
+
+
+def test_records_above_the_krylov_order_carry_python_floats():
+    # one graph whose Lanczos run passes its bound, one (a path) whose run
+    # gives up for eigvalsh; numpy 2 writes a numpy scalar as np.float64(...)
+    n = _KRYLOV_MIN_ORDER + _KRYLOV_MIN_ORDER % 2
+    dense = next(sample_connected(n, 0.5, 1, seed=3))
+    path = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    for record in check_graphs([dense, path]) + [check_graph(dense), check_graph(path)]:
+        assert type(record.q1) is float
+        payload = json.loads(record.to_json())
+        assert payload["q1"] == record.q1
         assert record.to_json() == json.dumps(record.to_dict())
 
 

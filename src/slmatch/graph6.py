@@ -166,7 +166,7 @@ def read_edge_list(lines: Iterable[str]) -> Graph:
     """Parse the plain edge-list fixture format.
 
     First non-blank line is "n <edge count>"; each following non-blank line is
-    one "u v" pair, 0-based.  Whitespace-tolerant.
+    one "u v" pair, 0-based.  Whitespace-tolerant.  n <= graph6's 258047.
     """
     rows = [row.strip() for row in lines]
     rows = [row for row in rows if row]
@@ -179,6 +179,8 @@ def read_edge_list(lines: Iterable[str]) -> Graph:
         n, count = int(head[0]), int(head[1])
     except ValueError as exc:
         raise InputError(f"non-integer header {rows[0]!r}") from exc
+    if n > _MAX_ORDER:  # refused before anything of order n is built
+        raise CapacityError(f"edge lists support orders up to {_MAX_ORDER}, got {n}")
     if count != len(rows) - 1:
         raise InputError(f"header announces {count} edges, found {len(rows) - 1}")
     edges = []

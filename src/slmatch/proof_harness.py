@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import prod, sqrt
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -44,6 +44,7 @@ _BOUND_MARGIN = 1e-6
 _STRICT_MARGIN = 1e-9
 _CURVE_FLOOR = 4.2843
 _CURVE_FLOOR_TOL = 1e-3
+_CASE_MAX = 100  # the case analysis covers every even n up to here
 # A scenario's shifted and merged neighbours share its order n, so the working
 # set is about one order's scenarios; on every scenario with even n <= 30, 1024
 # entries gave the same hit count as an unbounded cache.
@@ -225,7 +226,10 @@ def _scenario_q1(inst: ProofInstance) -> float:
 def check_root_bounds(inst: ProofInstance) -> PropertyReport:
     """Template radius equals the graph's q1 and clears its lower bounds."""
     _require_dense_order(inst.n)
-    radius = spectral_radius(build_m1(inst))
+    M = build_m1(inst)
+    # M = S^-1 E for the class sizes S and a symmetric E, so M is similar to
+    # the symmetric S^-1/2 E S^-1/2 = sqrt(M * M.T), entry by entry
+    radius = spectral_radius(np.sqrt(M * M.T))
     graph_q1 = _scenario_q1(inst)
     n, s, n1 = inst.n, inst.s, inst.parts[0]
     bound_s_row = n + s - 2
@@ -403,9 +407,7 @@ def _compare(name, subject, M, formula) -> TranscriptionRecord:
     return TranscriptionRecord(name, subject, worst, worst == 0)
 
 
-def verify_polynomial_transcriptions(
-    instances: Sequence[ProofInstance] = _TRANSCRIPTION_INSTANCES,
-) -> list[TranscriptionRecord]:
+def verify_polynomial_transcriptions() -> list[TranscriptionRecord]:
     """Compare the expanded formulas for M1/M3/M4/M5 with the exact
     characteristic polynomials of their templates.
 
@@ -414,7 +416,7 @@ def verify_polynomial_transcriptions(
     alternating-sign one.
     """
     rows = []
-    for inst in instances:
+    for inst in _TRANSCRIPTION_INSTANCES:
         subject, m1 = inst.describe(), build_m1(inst)
         for variant, alternating in (("alternating", True), ("all_negative", False)):
             formula = partial(_m1_expansion, inst=inst, alternating=alternating)
@@ -499,10 +501,10 @@ class ProofSuiteResult:
         return not self.failures
 
 
-def run_proof_suite(nmax: int = 12, case_max: int = 100) -> ProofSuiteResult:
+def run_proof_suite(nmax: int = 12) -> ProofSuiteResult:
     """Exhaustive scenarios up to min(nmax, 12), sample_instances' 200 seeded
-    scenarios beyond, the h-bound grid, the case analysis, and the
-    transcription cross-checks.  nmax must be an even integer >= 4."""
+    scenarios beyond, the h-bound grid, the case analysis up to _CASE_MAX,
+    and the transcription cross-checks.  nmax must be an even integer >= 4."""
     nmax = _require_even_order(nmax, name="nmax")
     reports: list[PropertyReport] = []
     instances: list[ProofInstance] = []
@@ -518,6 +520,6 @@ def run_proof_suite(nmax: int = 12, case_max: int = 100) -> ProofSuiteResult:
     for n in range(6, max(12, min(nmax, 40)) + 1, 2):
         for s in range(1, (n - 4) // 2 + 1):
             reports.append(check_h_bound(n, s))
-    for n in range(4, case_max + 1, 2):
+    for n in range(4, _CASE_MAX + 1, 2):
         reports.append(check_case_analysis(n))
     return ProofSuiteResult(reports, verify_polynomial_transcriptions())

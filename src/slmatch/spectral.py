@@ -1,15 +1,15 @@
 """Signless Laplacian matrices, spectral radii, quotient matrices, and the
 threshold functions of the perfect-matching condition.
 
-Matrices are plain numpy arrays.  A spectral radius is chosen by the matrix
-order alone, for one matrix or a (B, n, n) stack of same-order matrices such
-as the signless Laplacians of a batch of graphs.  Nonsymmetric input goes to
-`eigvals`; symmetric input below `_KRYLOV_MIN_ORDER` to one stacked
-`eigvalsh` call.  At and above that order each matrix gets a short Lanczos
-run whose top Ritz value is kept only when a Collatz-Wielandt ratio bounds q1
-from above within `_KRYLOV_TOL`; otherwise `eigvalsh` solves that matrix.  A
-partition of matrix indices is an ordered sequence of disjoint, nonempty
-index collections covering 0..order-1.
+Matrices are plain numpy arrays.  Spectral radii are taken of symmetric
+nonnegative matrices only, one or a (B, n, n) stack such as the signless
+Laplacians of a batch of graphs, on one of two paths chosen by the order:
+one stacked `eigvalsh` call below `_KRYLOV_MIN_ORDER`, and from there on a
+Lanczos Ritz value per matrix, kept only under a Collatz-Wielandt bound
+within `_KRYLOV_TOL`, else `eigvalsh`.  An equitable quotient C = S^-1 E (S
+the class sizes, E symmetric) is similar to sqrt(C * C.T) = S^-1/2 E S^-1/2,
+whose radius is taken instead.  A partition of matrix indices is an ordered
+sequence of disjoint, nonempty index collections covering 0..order-1.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def signless_laplacian(G: Graph) -> np.ndarray:
     return signless_laplacians([G])[0]
 
 
-def _validate_nonnegative_square(M: np.ndarray) -> np.ndarray:
+def _validate_symmetric_nonnegative(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
         raise InputError(f"expected a square matrix or a stack of them, got shape {M.shape}")
@@ -71,6 +71,8 @@ def _validate_nonnegative_square(M: np.ndarray) -> np.ndarray:
         raise InputError("matrix entries must be finite")
     if M.min() < 0:
         raise InputError("matrix entries must be nonnegative")
+    if not np.array_equal(M, np.swapaxes(M, -1, -2)):  # `eigvalsh` reads one triangle
+        raise InputError("expected a symmetric matrix; for a quotient C pass np.sqrt(C * C.T)")
     return M
 
 
@@ -150,24 +152,22 @@ def _lanczos_top(Q: np.ndarray) -> float:
 
 
 def spectral_radius(M: np.ndarray) -> float | np.ndarray:
-    """Largest eigenvalue of a nonnegative square matrix.
+    """Largest eigenvalue of a symmetric nonnegative matrix.
 
     A float for one (n, n) matrix; for a (B, n, n) stack, an array of the B
     radii.  The path depends on the order n alone, so a stack and its
     matrices one by one give the same radii:
-    - nonsymmetric input (the quotient templates): every eigenvalue from one
-      `eigvals` call; the Perron root has the largest real part;
-    - symmetric, n < _KRYLOV_MIN_ORDER: one stacked `eigvalsh` call;
-    - symmetric, n >= _KRYLOV_MIN_ORDER: per matrix, a Lanczos Ritz value
-      theta <= q1 accepted only with a Collatz-Wielandt bound hi >= q1 with
+    - n < _KRYLOV_MIN_ORDER: one stacked `eigvalsh` call;
+    - n >= _KRYLOV_MIN_ORDER: per matrix, a Lanczos Ritz value theta <= q1
+      accepted only with a Collatz-Wielandt bound hi >= q1 with
       hi - theta <= _KRYLOV_TOL * max(1, hi) (see `_lanczos_top`), else
       `eigvalsh`.
+    Nonsymmetric input raises InputError; pass an equitable quotient C as
+    np.sqrt(C * C.T), which is similar to C.
     """
-    M = _validate_nonnegative_square(M)
+    M = _validate_symmetric_nonnegative(M)
     n = M.shape[-1]
-    if not np.array_equal(M, np.swapaxes(M, -1, -2)):
-        radii = np.linalg.eigvals(M).real.max(axis=-1)
-    elif n < _KRYLOV_MIN_ORDER:
+    if n < _KRYLOV_MIN_ORDER:
         radii = np.linalg.eigvalsh(M)[..., -1]
     else:
         radii = np.array([_lanczos_top(Q) for Q in M.reshape(-1, n, n)])
@@ -200,42 +200,41 @@ def check_partition(classes: Sequence[Sequence[int]], order: int) -> list[list[i
     return out
 
 
-def _indicator(classes: list[list[int]], order: int) -> np.ndarray:
-    Z = np.zeros((order, len(classes)))
+_EQUITABLE_TOL = 1e-9  # row-sum spread allowed for non-integer matrices
+
+
+def _square(M: np.ndarray) -> np.ndarray:
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {M.shape}")
+    return M
+
+
+def _blocks(M, partition: Sequence[Sequence[int]]) -> tuple[np.ndarray, list, np.ndarray]:
+    """M as a float square matrix, the partition's classes, and their
+    order x classes indicator matrix."""
+    M = _square(np.asarray(M, dtype=float))
+    classes = check_partition(partition, M.shape[0])
+    Z = np.zeros((M.shape[0], len(classes)))
     for j, members in enumerate(classes):
         Z[members, j] = 1.0
-    return Z
+    return M, classes, Z
 
 
 def quotient_matrix(M: np.ndarray, partition: Sequence[Sequence[int]]) -> np.ndarray:
     """Matrix of average block row sums of M under the partition."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {M.shape}")
-    classes = check_partition(partition, M.shape[0])
-    Z = _indicator(classes, M.shape[0])
-    sizes = Z.sum(axis=0)
-    return (Z.T @ M @ Z) / sizes[:, None]
+    M, _, Z = _blocks(M, partition)
+    return (Z.T @ M @ Z) / Z.sum(axis=0)[:, None]
 
 
-def is_equitable(
-    M: np.ndarray, partition: Sequence[Sequence[int]], tol: float = 1e-9
-) -> bool:
-    """True iff every block of M has constant row sums under the partition.
-
-    Integer-valued matrices are compared exactly; otherwise within `tol`.
-    """
-    M = np.asarray(M, dtype=float)
-    classes = check_partition(partition, M.shape[0])
-    Z = _indicator(classes, M.shape[0])
+def is_equitable(M: np.ndarray, partition: Sequence[Sequence[int]]) -> bool:
+    """True iff every block of M has constant row sums under the partition:
+    exactly for an integer-valued M, else within _EQUITABLE_TOL."""
+    M, classes, Z = _blocks(M, partition)
     block_row_sums = M @ Z  # row v, column c: sum of M[v, u] over u in class c
     exact = bool(np.all(M == np.rint(M)))
     for members in classes:
         spread = np.ptp(block_row_sums[members], axis=0)
-        if exact:
-            if np.any(spread != 0.0):
-                return False
-        elif np.any(spread > tol):
+        if np.any(spread != 0.0 if exact else spread > _EQUITABLE_TOL):
             return False
     return True
 
@@ -247,9 +246,7 @@ def char_poly(M) -> list[int]:
     characteristic polynomial of M is the first len(A) + 2 coefficients of
     (1, -a, -RC, -RAC, -RA^2C, ...) convolved with that of A.
     """
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {M.shape}")
+    M = _square(np.asarray(M))
     if M.dtype.kind not in "iu":
         raise InputError(f"char_poly needs integer entries, got dtype {M.dtype}")
     rows = M.tolist()
@@ -318,12 +315,12 @@ def _matching_threshold_cubic(n: int) -> list[int]:
     return [1, -(3 * n - 7), n * (2 * n - 7), -2 * (n * n - 7 * n + 12)]
 
 
-def _require_even_order(n, minimum: int = 4, name: str = "order") -> int:
+def _require_even_order(n, name: str = "order") -> int:
     if not isinstance(n, (int, np.integer)):
         raise InputError(f"{name} must be an integer, got {n!r}")
     n = int(n)
-    if n < minimum or n % 2:
-        raise InputError(f"{name} must be an even integer >= {minimum}, got {n}")
+    if n < 4 or n % 2:
+        raise InputError(f"{name} must be an even integer >= 4, got {n}")
     return n
 
 

@@ -27,6 +27,7 @@ from .graph6 import ParseFailure, decode_graph6, encode_graph6, scan_stream
 from .matching import maximum_matching
 from .spectral import (
     MAX_DENSE_ORDER,
+    _require_dense_order,
     edge_threshold,
     q1_threshold,
     signless_laplacians,
@@ -307,6 +308,7 @@ def run_random(
 
     if n < 4 or n % 2:
         raise InputError(f"random verification needs even n >= 4, got {n}")
+    _require_dense_order(n)  # before drawing the n(n-1)/2 pairs of each sample
     summary = CorpusSummary(expected_count=count)
     _absorb_all(_iter_records(sample_connected(n, p, count, seed), jobs), summary, out)
     return summary

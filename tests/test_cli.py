@@ -162,6 +162,16 @@ def test_verify_random_that_cannot_sample_exits_2(jobs, capsys):
     assert capsys.readouterr().err.startswith("error: gave up after ")
 
 
+def test_verify_random_above_the_dense_order_cap_exits_2_before_sampling(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("an oversize order was sampled")
+
+    monkeypatch.setattr(slmatch.generate, "sample_connected", refuse)
+    argv = ["verify", "--random", str(MAX_DENSE_ORDER + 2), "--p", "0.5", "--count", "1"]
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err == "error: dense Q supports orders up to 4096, got 4098\n"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_verify_jobs_below_one_exits_2(jobs, capsys):
     assert run_cli(["verify", "--exhaustive", "4", "--jobs", jobs]) == (2, "")
@@ -366,6 +376,14 @@ def test_q1_above_the_dense_order_cap_exits_2():
 
 def test_missing_edge_file_exits_2(tmp_path):
     assert run_cli(["q1", "--edges", str(tmp_path / "missing.edges")])[0] == 2
+
+
+def test_edge_file_above_the_graph6_order_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.edges"
+    path.write_text("1000000000000 0\n")
+    assert run_cli(["q1", "--edges", str(path)]) == (2, "")
+    err = capsys.readouterr().err
+    assert err == "error: edge lists support orders up to 258047, got 1000000000000\n"
 
 
 def _python_m_slmatch(*argv):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slmatch import (
+    CapacityError,
     Graph6ParseError,
     InputError,
     ParseFailure,
@@ -195,3 +196,6 @@ def test_read_edge_list():
         read_edge_list([])
     with pytest.raises(InputError):
         read_edge_list(["3 1", "0 x"])
+    with pytest.raises(CapacityError):
+        read_edge_list(["258048 0"])  # above graph6's order limit
+    assert read_edge_list(["258047 0"]).n == 258047

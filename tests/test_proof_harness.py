@@ -30,6 +30,7 @@ from slmatch import (
     run_proof_suite,
     sample_instances,
     signless_laplacian,
+    spectral_radius,
     verify_polynomial_transcriptions,
 )
 from slmatch.proof_harness import merged_instance, shifted_instance
@@ -178,6 +179,22 @@ def test_check_root_bounds_examples():
     assert abs(report.details["radius"] - r_of_n(10)) <= 1e-8
 
 
+def test_symmetrised_m1_keeps_the_template_radius():
+    """sqrt(M * M.T) of every M1 template with even n <= 16 is exactly
+    symmetric, and its radius is the nonsymmetric template's largest real
+    eigenvalue."""
+    checked = 0
+    for n in range(4, 17, 2):
+        for inst in exhaustive_instances(n):
+            M = build_m1(inst)
+            symmetric = np.sqrt(M * M.T)
+            assert np.array_equal(symmetric, symmetric.T)
+            reference = np.linalg.eigvals(M).real.max()
+            assert abs(spectral_radius(symmetric) - reference) <= 1e-12 * reference
+            checked += 1
+    assert checked == 163
+
+
 def test_check_root_bounds_exhaustive_small():
     for n in (4, 6, 8, 10):
         for inst in exhaustive_instances(n):
@@ -310,7 +327,7 @@ def test_sample_instances_deterministic_and_valid():
 
 
 def test_run_proof_suite_small():
-    result = run_proof_suite(nmax=8, case_max=20)
+    result = run_proof_suite(nmax=8)
     assert result.passed
     assert not result.failures
     names = {r.polynomial for r in result.transcriptions}

@@ -88,9 +88,12 @@ def test_spectral_radius_of_a_stack():
     radii = spectral_radius(signless_laplacians(gs))
     assert radii.shape == (5,)
     assert radii.tolist() == [q1(G) for G in gs]
-    # a nonsymmetric stack: the quotient template [[0, 2], [1, 0]] has radius sqrt 2
+    # nonsymmetric input is refused, stacked or alone: `eigvalsh` would read
+    # only one triangle of it
     stack = np.array([[[0.0, 2.0], [1.0, 0.0]], [[3.0, 1.0], [0.0, 1.0]]])
-    assert np.allclose(spectral_radius(stack), [math.sqrt(2.0), 3.0], rtol=1e-14)
+    for M in (stack, stack[0]):
+        with pytest.raises(InputError, match="symmetric"):
+            spectral_radius(M)
 
 
 def test_signless_laplacian_row_sums(petersen):
@@ -184,6 +187,13 @@ def test_is_equitable(path3):
     assert is_equitable(M, [[0], [1]])  # singletons are always equitable
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (2,), (2, 2, 2)])
+def test_partition_functions_share_one_shape_check(shape):
+    for function in (is_equitable, quotient_matrix):
+        with pytest.raises(InputError, match="expected a square matrix"):
+            function(np.zeros(shape), [[0], [1]])
+
+
 def test_equitable_quotient_shares_spectral_radius():
     cases = [
         (join(complete_graph(2), empty_graph(4)), [[0, 1], [2, 3, 4, 5]]),
@@ -194,7 +204,8 @@ def test_equitable_quotient_shares_spectral_radius():
     for G, partition in cases:
         Q = signless_laplacian(G)
         assert is_equitable(Q, partition)
-        assert abs(spectral_radius(quotient_matrix(Q, partition)) - spectral_radius(Q)) <= 1e-8
+        C = quotient_matrix(Q, partition)  # similar to the symmetric sqrt(C * C.T)
+        assert abs(spectral_radius(np.sqrt(C * C.T)) - spectral_radius(Q)) <= 1e-8
 
 
 def test_spectral_monotonicity_under_subgraphs():

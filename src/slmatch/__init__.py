@@ -20,13 +20,10 @@ from .graph import (
     complete_graph,
     components,
     deficiency,
-    delete_vertices,
-    disjoint_union,
     empty_graph,
     extremal_h,
     is_connected,
     join,
-    odd_components,
     proof_graph,
 )
 from .graph6 import (
@@ -71,7 +68,6 @@ from .spectral import (
     q1_threshold,
     quotient_matrix,
     r_of_n,
-    signless_laplacian,
     signless_laplacians,
     spectral_radius,
     threshold_poly,

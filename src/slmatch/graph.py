@@ -137,44 +137,13 @@ def deficiency(G: Graph, S: Iterable[int]) -> int:
     return odd - smask.bit_count()
 
 
-def odd_components(G: Graph) -> int:
-    """Number of connected components with an odd number of vertices."""
-    return deficiency(G, ())
-
-
-def delete_vertices(G: Graph, vertices: Iterable[int]) -> Graph:
-    """Induced subgraph on V - vertices, relabelled contiguously (order kept)."""
-    drop = set(vertices)
-    for v in drop:
-        if not (isinstance(v, int) and 0 <= v < G.n):
-            raise InputError(f"vertex {v!r} not in 0..{G.n - 1}")
-    keep = [v for v in range(G.n) if v not in drop]
-    adj = []
-    for old_u in keep:
-        m = G._adj[old_u]
-        new_mask = 0
-        for new_v, old_v in enumerate(keep):
-            if (m >> old_v) & 1:
-                new_mask |= 1 << new_v
-        adj.append(new_mask)
-    return Graph(len(keep), tuple(adj))
-
-
-def disjoint_union(G1: Graph, G2: Graph) -> Graph:
-    """Disjoint union; G2's vertices are shifted up by G1.n."""
-    n1 = G1.n
-    adj = list(G1._adj) + [m << n1 for m in G2._adj]
-    return Graph(n1 + G2.n, tuple(adj))
-
-
 def join(G1: Graph, G2: Graph) -> Graph:
     """Disjoint union plus every edge between the two vertex sets."""
     n1, n2 = G1.n, G2.n
-    g = disjoint_union(G1, G2)
     left = (1 << n1) - 1
     right = ((1 << n2) - 1) << n1
-    adj = [(g._adj[v] | right) if v < n1 else (g._adj[v] | left) for v in range(g.n)]
-    return Graph(g.n, tuple(adj))
+    adj = [m | right for m in G1._adj] + [(m << n1) | left for m in G2._adj]
+    return Graph(n1 + n2, tuple(adj))
 
 
 def complete_graph(m: int) -> Graph:

@@ -1,4 +1,4 @@
-"""Numerical checks for every intermediate step behind the spectral threshold.
+"""Exact checks for every intermediate step behind the spectral threshold.
 
 Each deficiency scenario is a clique K_s joined to k disjoint odd cliques
 (k >= s+2).  The checks rebuild that scenario's quotient-matrix templates
@@ -7,6 +7,13 @@ scenario graph, verify the root lower bounds, verify that moving vertices
 toward the largest clique strictly raises the spectral radius, and close with
 the threshold-vs-r_l case analysis.  Everything returns report records
 instead of raising, so sweeps can aggregate outcomes.
+
+M1 is an arrowhead matrix (see `build_m1`): above d_1 = 2 n_1 + s - 2 its
+Perron root q1 is the only root of the increasing secular function
+f(x) = x - (n+s-2) - s sum_i n_i / (x - 2 n_i - s + 2) (Golub, SIAM Review
+15, 1973), so q1 > c exactly when c <= d_1 or f(c) < 0.  That integer sign,
+`_q1_exceeds`, decides root bounds, shifts and merges; float radii only
+cross-check the quotient against the full graph and place the first cut.
 
 The three scenario checks share a bounded cache of full-graph q1 keyed on
 the scenario, so a scenario and its shifted or merged neighbours are each
@@ -20,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import prod, sqrt
+from math import prod
 from typing import Iterator
 
 import numpy as np
@@ -28,8 +35,10 @@ import numpy as np
 from .errors import InputError
 from .graph import proof_graph
 from .spectral import (
+    _largest_root,
     _require_dense_order,
     _require_even_order,
+    _sign_at,
     char_poly,
     polyval,
     q1,
@@ -41,7 +50,9 @@ DEFAULT_SAMPLE_SEED = 20240613
 
 _Q1_MATCH_TOL = 1e-8
 _BOUND_MARGIN = 1e-6
-_STRICT_MARGIN = 1e-9
+# bisection steps before two equal radii are reported as a failed strict rise;
+# halving (d_1, 2n - 2] around q1 > n - 1 reaches adjacent floats in about 54
+_TIE_STEPS = 64
 _CURVE_FLOOR = 4.2843
 _CURVE_FLOOR_TOL = 1e-3
 _CASE_MAX = 100  # the case analysis covers every even n up to here
@@ -182,8 +193,9 @@ def build_m5(s: int) -> np.ndarray:
 
 def r_l_of_n(n: int) -> float:
     """Largest root of the 2x2 template's characteristic polynomial,
-    (2n - 4 + sqrt(2n(n-2))) / 2, as a function of the total order."""
-    return (2 * n - 4 + sqrt(2 * n * (n - 2))) / 2
+    (2n - 4 + sqrt(2n(n-2))) / 2, at an even order n >= 4, correctly rounded."""
+    # the polynomial shifted to x = n - 2 is x^2 - n(n-2)/2, which isolates it
+    return _largest_root(char_poly(build_m5(_require_even_order(n) // 2 - 1)), n - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +235,30 @@ def _scenario_q1(inst: ProofInstance) -> float:
     return q1(inst.graph())
 
 
+def _q1_exceeds(inst: ProofInstance, c: int | float) -> bool:
+    """Exactly whether q1 of the scenario's M1 template exceeds an int or
+    float c, by the sign of the secular function f(c) taken in integers."""
+    # with c = p/q and D_i = p - d_i q > 0, q prod(D) f(c) is
+    # (p - (n+s-2) q) prod(D) - s q^2 sum_i n_i prod_{j != i} D_j; equal
+    # parts share one D, weighted by their count
+    p, q = c.as_integer_ratio()
+    s, parts = inst.s, inst.parts
+    if p <= (2 * parts[0] + s - 2) * q:
+        return True
+    num, den = 0, 1  # sum of count * n_i / D_i over distinct parts
+    for part in set(parts):
+        D = p - (2 * part + s - 2) * q
+        num, den = num * D + parts.count(part) * part * den, den * D
+    return (p - (inst.n + s - 2) * q) * den < s * q * q * num
+
+
 def check_root_bounds(inst: ProofInstance) -> PropertyReport:
     """Template radius equals the graph's q1 and clears its lower bounds."""
     _require_dense_order(inst.n)
     M = build_m1(inst)
     # M = S^-1 E for the class sizes S and a symmetric E, so M is similar to
-    # the symmetric S^-1/2 E S^-1/2 = sqrt(M * M.T), entry by entry
+    # the symmetric S^-1/2 E S^-1/2 = sqrt(M * M.T), entry by entry; its float
+    # radius cross-checks the quotient against the full matrix
     radius = spectral_radius(np.sqrt(M * M.T))
     graph_q1 = _scenario_q1(inst)
     n, s, n1 = inst.n, inst.s, inst.parts[0]
@@ -237,9 +267,9 @@ def check_root_bounds(inst: ProofInstance) -> PropertyReport:
     bound_largest_diag = 2 * n1 + s - 2
     checks = {
         "matches_graph_q1": abs(radius - graph_q1) <= _Q1_MATCH_TOL,
-        "exceeds_s_row": radius > bound_s_row + _BOUND_MARGIN,
-        "exceeds_clique_join": radius > bound_clique_join + _BOUND_MARGIN,
-        "exceeds_largest_diag": radius > bound_largest_diag + _BOUND_MARGIN,
+        "exceeds_s_row": _q1_exceeds(inst, bound_s_row),
+        "exceeds_clique_join": _q1_exceeds(inst, bound_clique_join),
+        "exceeds_largest_diag": _q1_exceeds(inst, bound_largest_diag),
     }
     return PropertyReport(
         name="root-bounds",
@@ -256,11 +286,26 @@ def check_root_bounds(inst: ProofInstance) -> PropertyReport:
     )
 
 
+def _rises(inst: ProofInstance, moved: ProofInstance, c: float) -> bool:
+    """Exactly whether q1(moved) > q1(inst), by bisecting an interval around
+    q1(inst) from a first cut at c; equal radii give False after _TIE_STEPS."""
+    # (lo, hi] holds q1(inst) throughout, from d_1 and M1's largest row sum
+    lo, hi = 2 * inst.parts[0] + inst.s - 2, 2 * inst.n - 2
+    for _ in range(_TIE_STEPS):
+        lo, hi = (c, hi) if _q1_exceeds(inst, c) else (lo, c)
+        if _q1_exceeds(moved, hi):
+            return True
+        if not _q1_exceeds(moved, lo):
+            return False
+        c = (lo + hi) / 2
+    return False
+
+
 def _check_raises_q1(
     name: str, inst: ProofInstance, moved: ProofInstance | None
 ) -> PropertyReport:
-    """q1 of the moved instance strictly exceeds q1 of inst; skipped when
-    there is nothing to move."""
+    """q1 of the moved instance strictly exceeds q1 of inst, first cut at the
+    midpoint of their float q1; skipped when there is nothing to move."""
     _require_dense_order(inst.n)
     if moved is None:
         return PropertyReport(name, inst.describe(), passed=True, skipped=True)
@@ -269,7 +314,7 @@ def _check_raises_q1(
     return PropertyReport(
         name=name,
         subject=f"{inst.describe()} -> parts={list(moved.parts)}",
-        passed=after > before + _STRICT_MARGIN,
+        passed=_rises(inst, moved, (before + after) / 2),
         details={"before": before, "after": after},
     )
 
@@ -312,12 +357,16 @@ def check_case_analysis(n: int) -> PropertyReport:
     n in {6, 8}, equal for n = 4."""
     r = r_of_n(n)
     rl = r_l_of_n(n)
+    # both are correctly rounded, and rounding is monotone, so unequal floats
+    # order the exact roots; equal ones are equal roots only where both
+    # templates' characteristic polynomials vanish on them exactly
     if n >= 10:
-        case, ok = "above", r > rl + _BOUND_MARGIN
+        case, ok = "above", r > rl
     elif n in (6, 8):
-        case, ok = "below", r < rl - _BOUND_MARGIN
+        case, ok = "below", r < rl
     else:  # n == 4 (r_of_n rejects anything smaller)
-        case, ok = "equal", abs(r - rl) <= 1e-8
+        roots = _sign_at(char_poly(build_m4(n, 1)), r), _sign_at(char_poly(build_m5(1)), rl)
+        case, ok = "equal", r == rl and roots == (0, 0)
     return PropertyReport(
         name="case-analysis",
         subject=f"n={n}",

@@ -56,11 +56,6 @@ def signless_laplacians(graphs: Sequence[Graph]) -> np.ndarray:
     return Q
 
 
-def signless_laplacian(G: Graph) -> np.ndarray:
-    """Degree-diagonal plus adjacency matrix of G (symmetric, nonnegative)."""
-    return signless_laplacians([G])[0]
-
-
 def _validate_symmetric_nonnegative(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 
 from slmatch import build_graph, proof_harness
@@ -16,6 +17,20 @@ def _fresh_scenario_cache():
     proof_harness._scenario_q1.cache_clear()
     yield
     proof_harness._scenario_q1.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def nx_odd_components():
+    """Odd components of G - S, counted by networkx: an independent recount
+    of a deficiency witness."""
+
+    def count(G, S):
+        H = nx.Graph(G.edges())
+        H.add_nodes_from(range(G.n))
+        H.remove_nodes_from(S)
+        return sum(len(c) % 2 for c in nx.connected_components(H))
+
+    return count
 
 
 @pytest.fixture

@@ -38,7 +38,7 @@ from slmatch import (
     sample_connected,
     sample_instances,
     sharpness_report,
-    signless_laplacian,
+    signless_laplacians,
     spectral_radius,
     tutte_berge_oracle,
 )
@@ -120,7 +120,7 @@ def _quotient_radius(Q, partition):
 def test_criterion_5_quotient_equality_suite():
     worst = 0.0
     for n in range(4, 41, 2):
-        Q = signless_laplacian(extremal_h(n))
+        Q = signless_laplacians([extremal_h(n)])[0]
         partition = [list(range(1, n - 2)), [0], [n - 2, n - 1]]
         assert is_equitable(Q, partition)
         worst = max(
@@ -131,14 +131,14 @@ def test_criterion_5_quotient_equality_suite():
         (join(complete_graph(2), empty_graph(4)), [[0, 1], [2, 3, 4, 5]]),
         (join(complete_graph(3), empty_graph(5)), [[0, 1, 2], [3, 4, 5, 6, 7]]),
     ):
-        Q = signless_laplacian(G)
+        Q = signless_laplacians([G])[0]
         assert is_equitable(Q, partition)
         worst = max(
             worst,
             abs(_quotient_radius(Q, partition) - spectral_radius(Q)),
         )
     for inst in sample_instances(100, seed=917, n_min=6, n_max=40):
-        Q = signless_laplacian(inst.graph())
+        Q = signless_laplacians([inst.graph()])[0]
         partition = inst.partition()
         assert is_equitable(Q, partition)
         worst = max(

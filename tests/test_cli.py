@@ -289,8 +289,9 @@ def test_proof_check_all_small():
 def test_proof_check_text_ignores_rounding_noise(monkeypatch):
     argv = ["proof-check", "--all", "--nmax", "8"]
     code, before = run_cli(argv)
-    radius = proof_harness.spectral_radius
-    monkeypatch.setattr(proof_harness, "spectral_radius", lambda M: radius(M) * (1 + 1e-14))
+    real_q1 = proof_harness.q1
+    monkeypatch.setattr(proof_harness, "q1", lambda G: real_q1(G) * (1 + 1e-14))
+    proof_harness._scenario_q1.cache_clear()  # solve every scenario again, perturbed
     assert run_cli(argv) == (code, before)
     assert "agrees (exact)" in before
 

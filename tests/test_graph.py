@@ -14,16 +14,18 @@ from slmatch import (
     complete_graph,
     components,
     deficiency,
-    delete_vertices,
-    disjoint_union,
     empty_graph,
     extremal_h,
     is_connected,
     join,
-    odd_components,
     proof_graph,
     tutte_berge_oracle,
 )
+
+
+def _disjoint_union(G1, G2):
+    shifted = [(u + G1.n, v + G1.n) for u, v in G2.edges()]
+    return build_graph(G1.n + G2.n, G1.edges() + shifted)
 
 
 def _random_graph(rng, n, p):
@@ -84,41 +86,19 @@ def test_is_connected(path3):
         is_connected(build_graph(0, []))
 
 
-def test_delete_vertices():
-    assert delete_vertices(complete_graph(4), {3}) == complete_graph(3)
-    star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert delete_vertices(star, {0}) == empty_graph(3)
-
-
-def test_delete_hub_of_h10():
-    rest = delete_vertices(extremal_h(10), {0})
-    assert sorted(len(c) for c in components(rest)) == [1, 1, 7]
-    assert odd_components(rest) == 3
-
-
-def test_delete_vertices_rejects_outsiders():
-    with pytest.raises(InputError):
-        delete_vertices(complete_graph(3), {5})
-
-
-def test_delete_matches_direct_filtering():
-    rng = random.Random(7)
-    for _ in range(25):
-        n = rng.randint(2, 9)
-        G = _random_graph(rng, n, 0.4)
-        drop = {v for v in range(n) if rng.random() < 0.3}
-        keep = [v for v in range(n) if v not in drop]
-        H = delete_vertices(G, drop)
-        assert H.n == len(keep)
-        for a in range(H.n):
-            for b in range(a + 1, H.n):
-                assert H.has_edge(a, b) == G.has_edge(keep[a], keep[b])
+def test_delete_hub_of_h10(nx_odd_components):
+    # without its hub, H10 is K7 and two isolated vertices
+    assert nx_odd_components(extremal_h(10), {0}) == 3
+    assert deficiency(extremal_h(10), {0}) == 2
 
 
 def test_odd_components(cycle6):
-    assert odd_components(cycle6) == 0
-    assert odd_components(empty_graph(3)) == 3
-    assert odd_components(disjoint_union(complete_graph(7), empty_graph(2))) == 3
+    # the deficiency of the empty set counts the odd components
+    assert deficiency(cycle6, ()) == 0
+    assert deficiency(empty_graph(3), ()) == 3
+    G = build_graph(9, complete_graph(7).edges())
+    assert sorted(len(c) for c in components(G)) == [1, 1, 7]
+    assert deficiency(G, ()) == 3
 
 
 @st.composite
@@ -132,11 +112,9 @@ def _graphs_with_vertex_sets(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_graphs_with_vertex_sets())
-def test_deficiency_matches_the_deleted_subgraph(case):
+def test_deficiency_matches_the_deleted_subgraph(nx_odd_components, case):
     G, S = case
-    H = delete_vertices(G, S)
-    assert odd_components(H) == sum(len(c) % 2 for c in components(H))
-    assert deficiency(G, S) == odd_components(H) - len(S)
+    assert deficiency(G, S) == nx_odd_components(G, S) - len(S)
 
 
 def test_deficiency_rejects_outsiders(cycle6):
@@ -171,14 +149,14 @@ def test_proof_graph_matches_join_constructions():
     assert proof_graph(2, [1, 1, 1, 1]) == join(complete_graph(2), empty_graph(4))
     assert proof_graph(1, [7, 1, 1]) == extremal_h(10)
     for n in range(4, 41):
-        pendants = disjoint_union(complete_graph(n - 3), empty_graph(2))
+        pendants = build_graph(n - 1, complete_graph(n - 3).edges())
         assert extremal_h(n) == join(complete_graph(1), pendants)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6), st.lists(st.integers(1, 8), min_size=1, max_size=6))
 def test_proof_graph_matches_the_combinator_chain(s, parts):
-    chain = join(complete_graph(s), reduce(disjoint_union, map(complete_graph, parts)))
+    chain = join(complete_graph(s), reduce(_disjoint_union, map(complete_graph, parts)))
     assert proof_graph(s, parts) == chain
 
 

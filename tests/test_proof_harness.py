@@ -1,9 +1,13 @@
 """Proof-step property checks on clique-join deficiency scenarios."""
 
 from collections import Counter
+from fractions import Fraction
+from math import inf, nextafter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slmatch import (
     CapacityError,
@@ -22,6 +26,7 @@ from slmatch import (
     check_vertex_shift,
     exhaustive_instances,
     is_equitable,
+    polyval,
     proof_harness,
     q1,
     quotient_matrix,
@@ -29,7 +34,7 @@ from slmatch import (
     r_of_n,
     run_proof_suite,
     sample_instances,
-    signless_laplacian,
+    signless_laplacians,
     spectral_radius,
     verify_polynomial_transcriptions,
 )
@@ -74,7 +79,7 @@ def test_build_m1_equals_computed_quotient():
         ProofInstance(3, (5, 3, 1, 1, 1)),
     ]
     for inst in cases:
-        Q = signless_laplacian(inst.graph())
+        Q = signless_laplacians([inst.graph()])[0]
         assert is_equitable(Q, inst.partition())
         C = quotient_matrix(Q, inst.partition())
         assert np.allclose(build_m1(inst), C, atol=1e-12)
@@ -106,7 +111,7 @@ def test_build_m3_equals_computed_quotient():
         ProofInstance(3, (1, 1, 1, 1, 1)),
     ]
     for inst in cases:
-        Q = signless_laplacian(inst.graph())
+        Q = signless_laplacians([inst.graph()])[0]
         partition = _three_class_partition(inst)
         assert is_equitable(Q, partition)
         assert np.allclose(build_m3(inst), quotient_matrix(Q, partition), atol=1e-12)
@@ -150,7 +155,7 @@ def test_build_m5_reproduces_fixed_sharpness_quotients():
 def test_build_m5_equals_computed_quotient():
     for s in (1, 2, 3, 4):
         inst = ProofInstance(s, (1,) * (s + 2))
-        Q = signless_laplacian(inst.graph())
+        Q = signless_laplacians([inst.graph()])[0]
         partition = [list(range(s)), list(range(s, inst.n))]
         assert is_equitable(Q, partition)
         assert np.allclose(build_m5(s), quotient_matrix(Q, partition), atol=1e-12)
@@ -163,20 +168,25 @@ def test_r_l_closed_form_is_the_m5_radius():
         assert abs(r_l_of_n(n) - radius) <= 1e-9
 
 
+def _brackets(inst, lo, hi):
+    """lo < q1(inst) <= hi, decided exactly."""
+    return proof_harness._q1_exceeds(inst, lo) and not proof_harness._q1_exceeds(inst, hi)
+
+
 def test_check_root_bounds_examples():
+    # q1 of K1 v (K_{n-3} u 2K1) is the root r(n) rounds, so it lies strictly
+    # between r(n)'s neighbouring floats
+    for inst, n in ((ProofInstance(1, (3, 1, 1)), 6), (ProofInstance(1, (7, 1, 1)), 10)):
+        assert check_root_bounds(inst).passed
+        r = r_of_n(n)
+        assert _brackets(inst, nextafter(r, 0), nextafter(r, inf))
     report = check_root_bounds(ProofInstance(1, (3, 1, 1)))
-    assert report.passed
-    assert abs(report.details["radius"] - r_of_n(6)) <= 1e-8
     assert report.details["bound_s_row"] == 5
     assert report.details["bound_clique_join"] == 6
 
-    report = check_root_bounds(ProofInstance(1, (1, 1, 1)))
-    assert report.passed
-    assert abs(report.details["radius"] - 4.0) <= 1e-8  # the 4-vertex star
-
-    report = check_root_bounds(ProofInstance(1, (7, 1, 1)))
-    assert report.passed
-    assert abs(report.details["radius"] - r_of_n(10)) <= 1e-8
+    star = ProofInstance(1, (1, 1, 1))
+    assert check_root_bounds(star).passed
+    assert _brackets(star, nextafter(4.0, 0), 4)  # q1 of the 4-vertex star is 4
 
 
 def test_symmetrised_m1_keeps_the_template_radius():
@@ -193,6 +203,58 @@ def test_symmetrised_m1_keeps_the_template_radius():
             assert abs(spectral_radius(symmetric) - reference) <= 1e-12 * reference
             checked += 1
     assert checked == 163
+
+
+def test_q1_exceeds_brackets_the_symmetrised_m1_radius():
+    """For every scenario with even n <= 30, the exact test puts q1 within
+    1e-12 relative of the float radius of sqrt(M * M.T), which is similar to
+    M1.  Catches a dropped part multiplicity, a dropped factor q in the
+    s q^2 term, and a flipped final comparison."""
+    checked = 0
+    for n in range(4, 31, 2):
+        for inst in exhaustive_instances(n):
+            M = build_m1(inst)
+            r = spectral_radius(np.sqrt(M * M.T))
+            assert _brackets(inst, r * (1 - 1e-12), r * (1 + 1e-12)), inst
+            checked += 1
+    assert checked == 3400
+
+
+def _e1(inst):
+    return 2 * inst.parts[0] + inst.s - 2
+
+
+@st.composite
+def _scenarios_and_cuts(draw):
+    inst = draw(st.sampled_from(SCENARIOS_TO_16))
+    cut = st.fractions(_e1(inst), 2 * inst.n, max_denominator=10**6)
+    return inst, draw(cut.filter(lambda c: c > _e1(inst)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scenarios_and_cuts())
+@example((ProofInstance(1, (1, 1, 1)), Fraction(4)))  # a cut at the root itself
+@example((ProofInstance(1, (3, 1, 1)), 5 + Fraction(1, 10**6)))  # just above d_1 = 5
+def test_q1_exceeds_is_the_sign_of_the_characteristic_polynomial(case):
+    """Above d_1 every other eigenvalue of M1 lies below the cut, so
+    det(cI - M1) < 0 exactly when q1 > c.  Catches a dropped part
+    multiplicity, a dropped factor q and a flipped final comparison."""
+    inst, c = case
+    assert proof_harness._q1_exceeds(inst, c) == (polyval(char_poly(build_m1(inst)), c) < 0)
+    assert proof_harness._q1_exceeds(inst, _e1(inst))
+
+
+def test_a_perturbed_graph_q1_fails_the_quotient_match(monkeypatch):
+    """A full-graph q1 off by 1e-6 relative, either way, is outside the 1e-8
+    band around the template radius.  Catches a `matches_graph_q1` that
+    checks one side of the band, or none."""
+    real_q1 = proof_harness.q1
+    for sign in (1, -1):
+        monkeypatch.setattr(proof_harness, "q1", lambda G: real_q1(G) * (1 + sign * 1e-6))
+        proof_harness._scenario_q1.cache_clear()
+        for inst in (ProofInstance(1, (1, 1, 1)), ProofInstance(2, (5, 3, 1, 1))):
+            report = check_root_bounds(inst)
+            assert report.status == "FAIL" and not report.details["matches_graph_q1"]
 
 
 def test_check_root_bounds_exhaustive_small():
@@ -217,6 +279,40 @@ def test_check_vertex_shift_examples():
         report = check_vertex_shift(inst)
         assert report.passed and not report.skipped
         assert report.details["after"] > report.details["before"]
+
+
+def test_rises_decides_from_any_first_cut():
+    """Bisection from a first cut anywhere in (d_1, 2n - 2] decides every
+    shift and merge with n <= 16 exactly, both ways round; the sweep's own
+    first cut (the midpoint of the float radii) never needs it.  Catches a
+    bisection that moves the wrong end or starts outside the root."""
+    pairs = [
+        (inst, moved)
+        for inst in SCENARIOS_TO_16
+        for moved in (shifted_instance(inst), merged_instance(inst))
+        if moved is not None
+    ]
+    assert len(pairs) == 172
+    for inst, moved in pairs:
+        for c in (_e1(inst), (_e1(inst) + 2 * inst.n - 2) / 2, 2 * inst.n - 2):
+            assert proof_harness._rises(inst, moved, c)
+            assert not proof_harness._rises(moved, inst, c)
+
+
+def test_equal_radii_fail_within_the_step_cap(monkeypatch):
+    """A scenario moved onto itself neither rises nor falls: every cut costs
+    three exact tests until the cap, then the check reports FAIL.  Catches a
+    tie forgiven as a pass."""
+    calls = []
+    real = proof_harness._q1_exceeds
+    monkeypatch.setattr(
+        proof_harness, "_q1_exceeds", lambda inst, c: calls.append(c) or real(inst, c)
+    )
+    for inst in (ProofInstance(1, (1, 1, 1)), ProofInstance(2, (5, 3, 1, 1))):
+        calls.clear()
+        report = proof_harness._check_raises_q1("tie", inst, inst)
+        assert report.status == "FAIL"
+        assert len(calls) == 3 * proof_harness._TIE_STEPS
 
 
 def test_check_vertex_shift_skips_without_donor():

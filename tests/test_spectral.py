@@ -27,7 +27,6 @@ from slmatch import (
     quotient_matrix,
     r_of_n,
     sample_connected,
-    signless_laplacian,
     signless_laplacians,
     spectral_radius,
 )
@@ -36,11 +35,11 @@ from slmatch.generate import edge_mask_to_graph
 
 
 def test_signless_laplacian_path(path3):
-    assert signless_laplacian(path3).tolist() == [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
+    assert signless_laplacians([path3])[0].tolist() == [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
 
 
 def test_signless_laplacian_k2():
-    assert signless_laplacian(complete_graph(2)).tolist() == [[1, 1], [1, 1]]
+    assert signless_laplacians([complete_graph(2)])[0].tolist() == [[1, 1], [1, 1]]
 
 
 def _q_from_edges(G):
@@ -68,7 +67,7 @@ def graphs(draw, max_order=70):
 @settings(max_examples=60, deadline=None)
 @given(graphs())
 def test_signless_laplacian_matches_edge_list(G):
-    assert np.array_equal(signless_laplacian(G), _q_from_edges(G))
+    assert np.array_equal(signless_laplacians([G])[0], _q_from_edges(G))
 
 
 def test_signless_laplacians_stack():
@@ -97,7 +96,7 @@ def test_spectral_radius_of_a_stack():
 
 
 def test_signless_laplacian_row_sums(petersen):
-    Q = signless_laplacian(petersen)
+    Q = signless_laplacians([petersen])[0]
     assert np.array_equal(Q.sum(axis=1), 2.0 * np.array(petersen.degrees()))
     assert np.array_equal(Q, Q.T)
 
@@ -107,7 +106,7 @@ def test_spectral_radius_known_graphs(path3, cycle6):
     assert abs(q1(cycle6) - 4.0) <= 1e-10  # twice the regularity
     # Q(P3) has spectrum {0, 1, 3}
     assert abs(q1(path3) - 3.0) <= 1e-10
-    eigen = np.linalg.eigvalsh(signless_laplacian(path3))
+    eigen = np.linalg.eigvalsh(signless_laplacians([path3])[0])
     assert np.allclose(eigen, [0.0, 1.0, 3.0], atol=1e-9)
 
 
@@ -123,7 +122,7 @@ def test_spectral_radius_agrees_with_lapack():
 def test_spectral_radius_permutation_invariant():
     rng = random.Random(9)
     for G in sample_connected(8, 0.5, 10, seed=14):
-        Q = signless_laplacian(G)
+        Q = signless_laplacians([G])[0]
         perm = list(range(G.n))
         rng.shuffle(perm)
         P = np.eye(G.n)[perm]
@@ -144,10 +143,10 @@ def test_spectral_radius_input_validation():
 
 
 def test_quotient_matrix_join_families():
-    Q = signless_laplacian(join(complete_graph(2), empty_graph(4)))
+    Q = signless_laplacians([join(complete_graph(2), empty_graph(4))])[0]
     C = quotient_matrix(Q, [[0, 1], [2, 3, 4, 5]])
     assert C.tolist() == [[6, 4], [2, 2]]
-    Q = signless_laplacian(join(complete_graph(3), empty_graph(5)))
+    Q = signless_laplacians([join(complete_graph(3), empty_graph(5))])[0]
     C = quotient_matrix(Q, [[0, 1, 2], [3, 4, 5, 6, 7]])
     assert C.tolist() == [[9, 5], [3, 3]]
 
@@ -159,7 +158,7 @@ def _h_partition(n):
 
 def test_quotient_matrix_extremal_family():
     for n in (6, 10, 14):
-        Q = signless_laplacian(extremal_h(n))
+        Q = signless_laplacians([extremal_h(n)])[0]
         C = quotient_matrix(Q, _h_partition(n))
         expected = [
             [2 * n - 7, 1, 0],
@@ -170,7 +169,7 @@ def test_quotient_matrix_extremal_family():
 
 
 def test_quotient_matrix_rejects_bad_partitions(path3):
-    Q = signless_laplacian(path3)
+    Q = signless_laplacians([path3])[0]
     with pytest.raises(InputError):
         quotient_matrix(Q, [[0, 1]])  # not covering
     with pytest.raises(InputError):
@@ -180,9 +179,9 @@ def test_quotient_matrix_rejects_bad_partitions(path3):
 
 
 def test_is_equitable(path3):
-    Q = signless_laplacian(extremal_h(10))
+    Q = signless_laplacians([extremal_h(10)])[0]
     assert is_equitable(Q, _h_partition(10))
-    assert not is_equitable(signless_laplacian(path3), [[0, 1], [2]])
+    assert not is_equitable(signless_laplacians([path3])[0], [[0, 1], [2]])
     M = np.array([[0.5, 1.25], [1.25, 2.0]])
     assert is_equitable(M, [[0], [1]])  # singletons are always equitable
 
@@ -202,7 +201,7 @@ def test_equitable_quotient_shares_spectral_radius():
         (extremal_h(30), _h_partition(30)),
     ]
     for G, partition in cases:
-        Q = signless_laplacian(G)
+        Q = signless_laplacians([G])[0]
         assert is_equitable(Q, partition)
         C = quotient_matrix(Q, partition)  # similar to the symmetric sqrt(C * C.T)
         assert abs(spectral_radius(np.sqrt(C * C.T)) - spectral_radius(Q)) <= 1e-8
@@ -373,7 +372,7 @@ def _connected_gnp(n, p, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_krylov_radius_agrees_with_eigvalsh(n, p, seed):
-    Q = signless_laplacian(_connected_gnp(n, p, seed))
+    Q = signless_laplacians([_connected_gnp(n, p, seed)])[0]
     expected = np.linalg.eigvalsh(Q)[-1]
     assert abs(spectral_radius(Q) - expected) <= 1e-12 * max(1.0, expected)
 
@@ -394,8 +393,8 @@ def fallbacks(monkeypatch):
 
 
 def test_krylov_accepts_a_dense_graph_and_falls_back_on_a_path(fallbacks):
-    dense = signless_laplacian(_connected_gnp(_CUTOFF, 0.5, 1))
-    path = signless_laplacian(build_graph(_CUTOFF, [(i, i + 1) for i in range(_CUTOFF - 1)]))
+    dense = signless_laplacians([_connected_gnp(_CUTOFF, 0.5, 1)])[0]
+    path = signless_laplacians([build_graph(_CUTOFF, [(i, i + 1) for i in range(_CUTOFF - 1)])])[0]
     expected = np.linalg.eigvalsh(dense)[-1], np.linalg.eigvalsh(path)[-1]
     fallbacks.clear()
     theta = spectral._lanczos_top(dense)
@@ -420,8 +419,8 @@ def test_krylov_degenerate_inputs(fallbacks):
     assert spectral_radius(np.zeros((n, n))) == 0.0
     assert fallbacks == [n]
     # block-diagonal: the larger block's radius, whichever block comes first
-    small = signless_laplacian(_connected_gnp(60, 0.5, 3))
-    large = signless_laplacian(_connected_gnp(n - 60, 0.5, 4))
+    small = signless_laplacians([_connected_gnp(60, 0.5, 3)])[0]
+    large = signless_laplacians([_connected_gnp(n - 60, 0.5, 4)])[0]
     for first, second in ((small, large), (large, small)):
         M = np.zeros((n, n))
         M[: len(first), : len(first)] = first
@@ -431,7 +430,7 @@ def test_krylov_degenerate_inputs(fallbacks):
     # an isolated vertex leaves a zero row the start vector never leaves, so
     # the bound cannot pass and eigvalsh answers
     G = _connected_gnp(n - 1, 0.5, 5)
-    Q = signless_laplacian(build_graph(n, G.edges()))
+    Q = signless_laplacians([build_graph(n, G.edges())])[0]
     expected = np.linalg.eigvalsh(Q)[-1]
     fallbacks.clear()
     assert spectral_radius(Q) == expected
@@ -453,7 +452,7 @@ class _CountingMatrix(np.ndarray):
 def test_krylov_fallback_on_a_path_is_bounded():
     # Q(P_1000) has relative gap ~1e-5: no short Lanczos run converges, and
     # the Ritz-gap test gives up long before the step budget
-    Q = signless_laplacian(build_graph(1000, [(i, i + 1) for i in range(999)]))
+    Q = signless_laplacians([build_graph(1000, [(i, i + 1) for i in range(999)])])[0]
     counted = Q.view(_CountingMatrix)
     _CountingMatrix.products = 0
     assert spectral._lanczos_top(counted) == np.linalg.eigvalsh(Q)[-1]

@@ -76,10 +76,9 @@ def _cmd_q1(args, stdout) -> int:
 
 def _cmd_threshold(args, stdout) -> int:
     n = args.n
-    print(f"n {n}", file=stdout)
-    print(f"q1_threshold {_fmt(q1_threshold(n))}", file=stdout)
-    print(f"r_n {_fmt(r_of_n(n))}", file=stdout)
-    print(f"edge_threshold {edge_threshold(n)}", file=stdout)
+    # every value first, so a refused order prints nothing
+    q, r, e = _fmt(q1_threshold(n)), _fmt(r_of_n(n)), edge_threshold(n)
+    print(f"n {n}\nq1_threshold {q}\nr_n {r}\nedge_threshold {e}", file=stdout)
     return 0
 
 

@@ -4,11 +4,15 @@ The workhorse is an augmenting-path search with blossom contraction (O(n^3))
 that runs on the adjacency bitmasks the graph already stores: the greedy warm
 start takes each vertex's lowest free neighbour as the lowest bit of a mask,
 and the search expands a vertex's mask into neighbours, lowest first, only
-when it pops that vertex.  Once the matching is maximum, one extra labelling
-pass started from every exposed vertex splits the vertices into outer / inner
-/ unreached; the inner set S maximises o(G-S) - |S| and certifies the
-deficiency.  A subset enumeration oracle gives an independent check for small
-graphs.
+when it pops that vertex, less the vertices of its own blossom.  Each
+contracted blossom keeps a mask of its vertices under its base, so one
+contraction costs time in the length of the odd cycle plus the vertices it
+absorbs, not in n; the absorbed vertices are relabelled in increasing order,
+the order a scan over every vertex would give.  Once the matching is
+maximum, one extra labelling pass started from every exposed vertex splits
+the vertices into outer / inner / unreached; the inner set S maximises
+o(G-S) - |S| and certifies the deficiency.  A subset enumeration oracle gives
+an independent check for small graphs.
 """
 
 from __future__ import annotations
@@ -33,28 +37,32 @@ class MatchingResult:
     witness: tuple[int, ...] | None
 
 
-def _lca(base, match, parent, a, b, n):
-    seen = [False] * n
+def _lca(base, match, parent, a, b):
+    seen = 0
     while True:
         a = base[a]
-        seen[a] = True
+        seen |= 1 << a
         if match[a] == _NONE:
             break
         a = base[parent[match[a]]]
     while True:
         b = base[b]
-        if seen[b]:
+        if seen >> b & 1:
             return b
         b = base[parent[match[b]]]
 
 
-def _mark_path(base, match, parent, in_blossom, v, stop, child):
+def _mark_path(base, match, parent, members, v, stop, child):
+    """Point the path from v up to the base `stop` back through `child`, and
+    return the vertices of the blossoms it crosses as a bitmask."""
+    absorbed = 0
     while base[v] != stop:
-        in_blossom[base[v]] = True
-        in_blossom[base[match[v]]] = True
+        b, c = base[v], base[match[v]]
+        absorbed |= members.pop(b, 1 << b) | members.pop(c, 1 << c)
         parent[v] = child
         child = match[v]
         v = parent[match[v]]
+    return absorbed
 
 
 def _search(adj, n, match, roots, augment):
@@ -68,27 +76,32 @@ def _search(adj, n, match, roots, augment):
     outer = [False] * n
     parent = [_NONE] * n
     base = list(range(n))
+    # vertex mask of each contracted blossom, keyed by its base; a vertex that
+    # is still its own base has no entry
+    members = {}
     queue = deque()
     for r in roots:
         outer[r] = True
         queue.append(r)
     while queue:
         v = queue.popleft()
-        for to in _bits(adj[v]):
+        # v's own blossom stays together, so its vertices are never neighbours
+        # worth scanning
+        for to in _bits(adj[v] & ~members.get(base[v], 0)):
             if base[v] == base[to] or match[v] == to:
                 continue
             if outer[to]:
                 # odd cycle through two outer vertices: contract the blossom
-                stop = _lca(base, match, parent, v, to, n)
-                in_blossom = [False] * n
-                _mark_path(base, match, parent, in_blossom, v, stop, to)
-                _mark_path(base, match, parent, in_blossom, to, stop, v)
-                for i in range(n):
-                    if in_blossom[base[i]]:
-                        base[i] = stop
-                        if not outer[i]:
-                            outer[i] = True
-                            queue.append(i)
+                stop = _lca(base, match, parent, v, to)
+                absorbed = _mark_path(base, match, parent, members, v, stop, to)
+                absorbed |= _mark_path(base, match, parent, members, to, stop, v)
+                # in increasing vertex order: the queue order fixes the output
+                for i in _bits(absorbed):
+                    base[i] = stop
+                    if not outer[i]:
+                        outer[i] = True
+                        queue.append(i)
+                members[stop] = members.get(stop, 1 << stop) | absorbed
             elif parent[to] == _NONE:
                 parent[to] = v
                 if match[to] == _NONE:
@@ -130,7 +143,7 @@ def maximum_matching(G: Graph) -> MatchingResult:
 
     edges = tuple(sorted((match[v], v) for v in range(n) if _NONE != match[v] < v))
     for u, v in edges:
-        if not G.has_edge(u, v):
+        if not adj[u] >> v & 1:
             raise RuntimeError(f"matching produced a non-edge ({u},{v})")
     size = len(edges)
     if 2 * size == n:

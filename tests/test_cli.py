@@ -47,6 +47,11 @@ def test_threshold_n6():
     )
 
 
+@pytest.mark.parametrize("n", ["5", "2"])
+def test_threshold_refused_order_prints_nothing(n):
+    assert run_cli(["threshold", "--n", n]) == (2, "")
+
+
 def test_rn_with_closed_form():
     code, out = run_cli(["rn", "--n", "8", "--closed-form"])
     assert code == 0

@@ -19,6 +19,7 @@ from slmatch import (
     has_perfect_matching,
     join,
     maximum_matching,
+    proof_graph,
     sample_connected,
     tutte_berge_oracle,
 )
@@ -139,11 +140,13 @@ def _check_against_networkx(G):
         assert deficiency(G, result.witness) == G.n - 2 * result.size
 
 
+def _random_graph(n, p, rng):
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
 @pytest.mark.parametrize("n", [64, 100, 250])
 def test_matching_number_agrees_with_networkx_on_dense_graphs(n):
-    rng = random.Random(n)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-    _check_against_networkx(build_graph(n, edges))
+    _check_against_networkx(_random_graph(n, 0.5, random.Random(n)))
 
 
 _PATH_1000 = [(i, i + 1) for i in range(999)]
@@ -170,3 +173,76 @@ def test_blossom_output_is_pinned_on_every_connected_6_vertex_graph():
     assert digest.hexdigest() == (
         "eb1e4a680d8cf1b17f614b5669c7e5821482cf7ab14c7879324df77a9a95b107"
     )
+
+
+def _without_edges(G, k, seed):
+    edges = G.edges()
+    drop = set(random.Random(seed).sample(range(len(edges)), k))
+    return build_graph(G.n, [e for i, e in enumerate(edges) if i not in drop])
+
+
+_PINNED_SCENARIOS = [
+    (1, (3, 3, 3)),
+    (2, (5, 3, 3, 1, 1)),
+    (3, (7, 5, 3, 3, 1, 1)),
+    (4, (9, 7, 5, 3, 3, 1, 1)),
+    (5, (21, 11, 9, 5, 3, 3, 1, 1)),
+]
+
+
+def _pinned_corpus_beyond_order_6():
+    # seed 4 leaves two vertices exposed after the greedy warm start at every
+    # order, so each graph runs augmenting searches through many blossoms
+    for n in (100, 250, 500, 1000):
+        yield _random_graph(n, 0.5, random.Random(4))
+    # sparse mid-order graphs nest blossoms inside blossoms, which the dense
+    # ones above seldom do
+    rng = random.Random(1)
+    for _ in range(200):
+        n = rng.randint(15, 39)
+        yield _random_graph(n, rng.choice((0.1, 0.2, 0.35)), rng)
+    # K_s joined to odd cliques, minus three edges: no perfect matching, so
+    # the witness labelling runs too
+    for i, (s, parts) in enumerate(_PINNED_SCENARIOS):
+        yield _without_edges(proof_graph(s, parts), 3, i)
+    for build in _SPARSE_ORDER_1000.values():
+        yield build()
+
+
+def test_blossom_output_is_pinned_beyond_order_6():
+    digest = hashlib.sha256()
+    for G in _pinned_corpus_beyond_order_6():
+        m = maximum_matching(G)
+        digest.update((json.dumps([encode_graph6(G), m.edges, m.witness]) + "\n").encode())
+    assert digest.hexdigest() == (
+        "3ba425352fdbcba6e5d298bcb3f618a3dfe17c9683e4202f9936d1b322c17c29"
+    )
+
+
+def _gallai_edmonds_a(G):
+    """A(G) of the Gallai-Edmonds decomposition, counted by networkx:
+    D = {v : nu(G - v) = nu(G)}, A = N(D) minus D."""
+    H = nx.Graph(G.edges())
+    H.add_nodes_from(range(G.n))
+
+    def nu(graph):
+        return len(nx.max_weight_matching(graph, maxcardinality=True))
+
+    full = nu(H)
+    D = {v for v in range(G.n) if nu(nx.restricted_view(H, [v], [])) == full}
+    return tuple(sorted({u for v in D for u in H[v]} - D))
+
+
+def test_witness_is_the_gallai_edmonds_set_a():
+    # A(G) depends on G alone, so the witness cannot depend on which
+    # augmenting paths the search happened to take
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        G = _random_graph(n, rng.choice((0.15, 0.3, 0.5)), rng)
+        m = maximum_matching(G)
+        if m.witness is not None:
+            assert m.witness == _gallai_edmonds_a(G)
+            checked += 1
+    assert checked >= 300

@@ -130,15 +130,16 @@ def _cmd_verify(args, stdout) -> int:
 
 def _cmd_extremal(args, stdout) -> int:
     row = sharpness_report([args.n]).rows[0]
-    print(f"n {row.n}", file=stdout)
-    print(f"edges {row.edges}", file=stdout)
-    print(f"q1 {_fmt(row.q1)}", file=stdout)
-    print(f"q1_threshold {_fmt(row.q1_threshold)}", file=stdout)
-    print(f"has_pm {str(row.has_pm).lower()}", file=stdout)
-    print(f"witness {_witness_text(row.witness)}", file=stdout)
+    record = row.record
+    print(f"n {record.n}", file=stdout)
+    print(f"edges {record.edges}", file=stdout)
+    print(f"q1 {_fmt(record.q1)}", file=stdout)
+    print(f"q1_threshold {_fmt(record.q1_threshold)}", file=stdout)
+    print(f"has_pm {str(record.has_pm).lower()}", file=stdout)
+    print(f"witness {_witness_text(record.witness)}", file=stdout)
     print(f"sharp {str(row.passed).lower()}", file=stdout)
     if args.emit_graph6:
-        print(row.graph6, file=stdout)
+        print(record.graph6, file=stdout)
     return 0 if row.passed else 1
 
 

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import prod
+from math import prod, ulp
 from typing import Iterator
 
 import numpy as np
@@ -36,6 +36,7 @@ from .errors import InputError
 from .graph import proof_graph
 from .spectral import (
     _largest_root,
+    _matching_threshold_cubic,
     _require_dense_order,
     _require_even_order,
     _sign_at,
@@ -49,12 +50,10 @@ from .spectral import (
 DEFAULT_SAMPLE_SEED = 20240613
 
 _Q1_MATCH_TOL = 1e-8
-_BOUND_MARGIN = 1e-6
 # bisection steps before two equal radii are reported as a failed strict rise;
 # halving (d_1, 2n - 2] around q1 > n - 1 reaches adjacent floats in about 54
 _TIE_STEPS = 64
-_CURVE_FLOOR = 4.2843
-_CURVE_FLOOR_TOL = 1e-3
+_CURVE_FLOOR = Fraction(42843, 10000)
 _CASE_MAX = 100  # the case analysis covers every even n up to here
 # A scenario's shifted and merged neighbours share its order n, so the working
 # set is about one order's scenarios; on every scenario with even n <= 30, 1024
@@ -329,20 +328,34 @@ def check_merge_singletons(inst: ProofInstance) -> PropertyReport:
     return _check_raises_q1("merge-singletons", inst, merged_instance(inst))
 
 
+def _convex_at_root_at_least(p: list[int], r: float, floor: Fraction | int) -> bool:
+    """Exactly whether a convex p (highest degree first) is >= floor at the
+    root that the float r rounds correctly, from |root - r| <= ulp(r) / 2:
+    p(root) >= p(r) - |p'(r)| ulp(r)."""
+    x = Fraction(r)
+    slope = polyval([c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])], x)
+    return polyval(p, x) - abs(slope) * Fraction(ulp(r)) >= floor
+
+
 def check_h_bound(n: int, s: int) -> PropertyReport:
     """r(n)^2 - (2s+4) r(n) - 2s^2 stays above its floor, and the k = s+2
-    template's characteristic polynomial, evaluated exactly at the float
-    r(n), is nonnegative there."""
+    template's characteristic polynomial h is nonnegative at r(n), both
+    decided exactly at the root of the threshold cubic c: there h equals
+    h - c, which is 0 at s = 1 (a tie) and a convex quadratic beyond."""
     if not (isinstance(s, int) and s >= 1):
         raise InputError(f"s must be a positive integer, got {s!r}")
     if n < 2 * s + 4:
         raise InputError(f"need n >= 2s+4, got n={n}, s={s}")
     r = r_of_n(n)
+    h = char_poly(build_m4(n, s))
     excess = r * r - (2 * s + 4) * r - 2 * s * s
-    h_at_r = float(polyval(char_poly(build_m4(n, s)), Fraction(r)))
+    h_at_r = float(polyval(h, Fraction(r)))
+    h_minus_c = [a - b for a, b in zip(h, _matching_threshold_cubic(n))]
     checks = {
-        "excess_above_floor": excess >= _CURVE_FLOOR - _CURVE_FLOOR_TOL,
-        "charpoly_nonnegative": h_at_r >= -_BOUND_MARGIN,
+        "excess_above_floor": _convex_at_root_at_least(
+            [1, -(2 * s + 4), -2 * s * s], r, _CURVE_FLOOR
+        ),
+        "charpoly_nonnegative": _convex_at_root_at_least(h_minus_c, r, 0),
     }
     return PropertyReport(
         name="h-bound",

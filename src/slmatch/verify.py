@@ -6,6 +6,10 @@ by more than the guard band EPSILON and it still has no perfect matching.
 Graphs sitting within EPSILON of the threshold get the separate "boundary"
 verdict: the extremal constructions attain the threshold exactly, so a strict
 floating-point comparison there would be meaningless.
+
+Sweeps cut their graphs into same-order chunks (`_chunks`), one stacked
+eigensolver call each, and skip the hypothesis checks of `check_graphs`:
+every sweep source yields only connected graphs of even order >= 4.
 """
 
 from __future__ import annotations
@@ -13,11 +17,10 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import threading
-from collections import Counter
+from collections import Counter, deque
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from itertools import chain
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import HypothesisError, InputError
@@ -101,11 +104,12 @@ _BATCH_ENTRIES = 1 << 14
 
 
 def _chunks(graphs: Iterable[Graph]) -> Iterator[list[Graph]]:
-    """Consecutive graphs with sum(n^2) <= _BATCH_ENTRIES, or one graph."""
+    """Runs of consecutive graphs of one order with sum(n^2) <=
+    _BATCH_ENTRIES, or one graph: each is one stacked eigensolver call."""
     chunk: list[Graph] = []
     entries = 0
     for G in graphs:
-        if chunk and entries + G.n * G.n > _BATCH_ENTRIES:
+        if chunk and (G.n != chunk[0].n or entries + G.n * G.n > _BATCH_ENTRIES):
             yield chunk
             chunk, entries = [], 0
         chunk.append(G)
@@ -140,10 +144,17 @@ def _record(G: Graph, radius: float) -> VerdictRecord:
     )
 
 
+def _check_chunk(chunk: list[Graph]) -> list[VerdictRecord]:
+    """Records of one `_chunks` chunk, whose graphs meet the hypotheses."""
+    radii = spectral_radius(signless_laplacians(chunk)).tolist()
+    return list(map(_record, chunk, radii))
+
+
 def check_graphs(graphs: Sequence[Graph]) -> list[VerdictRecord]:
     """Evaluate both conditions on each graph, hypotheses first for all of
-    them; then each run of consecutive same-order graphs within a chunk
-    shares one stacked eigensolver call.  Input order is kept."""
+    them (sweeps skip this: their sources meet them); then each `_chunks`
+    chunk, a run of same-order graphs, shares one stacked eigensolver call.
+    Input order is kept."""
     for G in graphs:
         if G.n < 4:
             raise HypothesisError("order-too-small", f"need n >= 4, got {G.n}")
@@ -151,13 +162,7 @@ def check_graphs(graphs: Sequence[Graph]) -> list[VerdictRecord]:
             raise HypothesisError("odd-order", f"need even order, got {G.n}")
         if not is_connected(G):
             raise HypothesisError("disconnected", "need a connected graph")
-    records: list[VerdictRecord] = []
-    for chunk in _chunks(graphs):
-        for _, group in groupby(chunk, key=lambda G: G.n):
-            run = list(group)
-            radii = spectral_radius(signless_laplacians(run)).tolist()
-            records.extend(map(_record, run, radii))
-    return records
+    return list(chain.from_iterable(map(_check_chunk, _chunks(graphs))))
 
 
 def check_graph(G: Graph) -> VerdictRecord:
@@ -200,41 +205,30 @@ class CorpusSummary:
         return 0 if self.clean else 1
 
 
-# Chunks a pool may hold per worker, counted from when the pool's feeder
-# thread takes a chunk from the input until its records come back: enough to
-# keep every worker busy, while the input is read only that far ahead.
+# Chunk results a pool may have pending per worker: enough to keep every
+# worker busy, while the input is read only that far ahead.
 _CHUNKS_IN_FLIGHT_PER_JOB = 4
 
 
 def _iter_records(graphs: Iterable[Graph], jobs: int) -> Iterator[VerdictRecord]:
+    """Records of graphs that meet the hypotheses, in input order."""
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
     # more workers than CPUs only add processes, never speed
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
-        yield from chain.from_iterable(map(check_graphs, _chunks(graphs)))
+        yield from chain.from_iterable(map(_check_chunk, _chunks(graphs)))
         return
-    slots = threading.Semaphore(_CHUNKS_IN_FLIGHT_PER_JOB * workers)
-    stopped = threading.Event()
-
-    def admitted() -> Iterator[list[Graph]]:
-        for chunk in _chunks(graphs):
-            slots.acquire()
-            if stopped.is_set():
-                return
-            yield chunk
-
+    # leaving the with block early (the consumer stopped, or a worker's error
+    # was raised again by get) terminates the pool
     with multiprocessing.Pool(workers) as pool:
-        try:
-            # imap keeps input order: --jobs changes the speed, not the output
-            for records in pool.imap(check_graphs, admitted()):
-                slots.release()
-                yield from records
-        finally:
-            # the pool joins its feeder thread on exit, so a consumer that
-            # stops early must not leave that thread waiting for a slot
-            stopped.set()
-            slots.release()
+        pending: deque = deque()
+        for chunk in _chunks(graphs):
+            pending.append(pool.apply_async(_check_chunk, (chunk,)))
+            if len(pending) == _CHUNKS_IN_FLIGHT_PER_JOB * workers:
+                yield from pending.popleft().get()
+        while pending:
+            yield from pending.popleft().get()
 
 
 def _absorb_all(
@@ -330,17 +324,16 @@ def sharpness_graph(n: int) -> Graph:
 
 @dataclass(frozen=True)
 class SharpnessRow:
-    n: int
-    graph6: str
-    q1: float
-    q1_threshold: float
-    gap: float
-    edges: int
-    edge_threshold: int
-    has_pm: bool
-    witness: tuple[int, ...] | None
+    """One order's sharpness-graph record, its witness recounted on the
+    graph, and whether the row passes."""
+
+    record: VerdictRecord
     witness_deficiency: int | None
     passed: bool
+
+    @property
+    def gap(self) -> float:
+        return self.record.q1 - self.record.q1_threshold
 
 
 @dataclass
@@ -369,19 +362,5 @@ def sharpness_report(ns: Iterable[int]) -> SharpnessReport:
             and recount >= 1
             and record.edges == record.edge_threshold
         )
-        rows.append(
-            SharpnessRow(
-                n=n,
-                graph6=record.graph6,
-                q1=record.q1,
-                q1_threshold=record.q1_threshold,
-                gap=record.q1 - record.q1_threshold,
-                edges=record.edges,
-                edge_threshold=record.edge_threshold,
-                has_pm=record.has_pm,
-                witness=witness,
-                witness_deficiency=recount,
-                passed=ok,
-            )
-        )
+        rows.append(SharpnessRow(record, recount, ok))
     return SharpnessReport(rows)

@@ -70,7 +70,7 @@ def test_criterion_1_sharpness_reproduction():
     report = sharpness_report([4, 6, 8, 10, 12, 20, 50, 100])
     ok &= report.passed
     ok &= all(
-        not row.has_pm and row.witness_deficiency >= 1 for row in report.rows
+        not row.record.has_pm and row.witness_deficiency >= 1 for row in report.rows
     )
     elapsed = time.perf_counter() - start
     ok &= elapsed < 10.0

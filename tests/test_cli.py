@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -190,7 +191,8 @@ def test_verify_pool_is_capped_at_the_cpu_count(jobs, cpus, pools, monkeypatch):
     sizes = []
 
     class RecordingPool:
-        """Records its size and maps in this process: no worker is started."""
+        """Records its size and runs each chunk in this process: no worker is
+        started."""
 
         def __init__(self, processes):
             sizes.append(processes)
@@ -201,8 +203,9 @@ def test_verify_pool_is_capped_at_the_cpu_count(jobs, cpus, pools, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, func, iterable):
-            return map(func, iterable)
+        def apply_async(self, func, args):
+            records = func(*args)
+            return SimpleNamespace(get=lambda: records)
 
     monkeypatch.setattr(verify.multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)

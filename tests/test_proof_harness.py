@@ -39,6 +39,7 @@ from slmatch import (
     verify_polynomial_transcriptions,
 )
 from slmatch.proof_harness import merged_instance, shifted_instance
+from slmatch.spectral import _matching_threshold_cubic
 
 
 def test_instance_normalisation_and_validation():
@@ -348,6 +349,27 @@ def test_check_h_bound():
     assert check_h_bound(12, 4).passed
     with pytest.raises(InputError):
         check_h_bound(8, 3)
+
+
+def test_h_minus_threshold_cubic_is_zero_at_s_1_and_convex_beyond():
+    # check_h_bound's exact decisions rest on both facts
+    for n in range(4, 61, 2):
+        cubic = _matching_threshold_cubic(n)
+        assert char_poly(build_m4(n, 1)) == cubic
+        for s in range(2, (n - 4) // 2 + 1):
+            gap = [a - b for a, b in zip(char_poly(build_m4(n, s)), cubic)]
+            assert gap[:2] == [0, s - 1]
+
+
+def test_h_bound_floor_is_decided_exactly(monkeypatch):
+    # the smallest excess, at (6, 1), is 4.28431509...
+    report = check_h_bound(6, 1)
+    assert report.passed and report.details["charpoly_nonnegative"]
+    monkeypatch.setattr(proof_harness, "_CURVE_FLOOR", Fraction(42843151, 10**7))
+    report = check_h_bound(6, 1)
+    assert not report.passed
+    assert not report.details["excess_above_floor"]
+    assert report.details["charpoly_nonnegative"]
 
 
 def test_h_bound_minimum_sits_at_smallest_case():

@@ -48,6 +48,7 @@ from slmatch.verify import (
     _CHUNKS_IN_FLIGHT_PER_JOB,
     JSONL_FIELDS,
     VerdictRecord,
+    _chunks,
     check_graphs,
 )
 
@@ -132,6 +133,40 @@ def test_batched_records_match_per_graph():
         assert got == want
 
 
+@pytest.mark.parametrize(
+    "orders, sizes",
+    [
+        ((6, 6, 8, 6), [2, 1, 1]),  # a new order starts a new chunk
+        ((30,) * 25, [18, 7]),  # 18 * 30^2 <= _BATCH_ENTRIES < 19 * 30^2
+        ((250, 250), [1, 1]),  # a graph above the bound is a chunk of its own
+    ],
+)
+def test_chunks_are_same_order_runs_within_the_batch_bound(orders, sizes):
+    graphs = [complete_graph(n) for n in orders]
+    chunks = list(_chunks(graphs))
+    assert [len(chunk) for chunk in chunks] == sizes
+    assert all(len({G.n for G in chunk}) == 1 for chunk in chunks)
+    assert [G for chunk in chunks for G in chunk] == graphs
+
+
+def test_each_sweep_checks_connectivity_once(monkeypatch):
+    calls = []
+
+    def counted(G):
+        calls.append(G.n)
+        return is_connected(G)
+
+    # every sweep source yields only connected graphs, so the sweeps leave
+    # the hypothesis checks of check_graphs out
+    monkeypatch.setattr(slmatch.verify, "is_connected", counted)
+    assert run_exhaustive(6).checked == 26704
+    run_random(12, 0.85, 300, seed=5)
+    assert calls == []
+    summary = run_stream(_mixed_order_stream())
+    assert summary.skipped["disconnected"] > 0
+    assert len(calls) == summary.checked + summary.skipped["disconnected"]
+
+
 def test_parallel_jsonl_matches_serial_line_by_line():
     # 1000 graphs of order 12 do not fill a whole number of chunks
     assert 1000 % (_BATCH_ENTRIES // 144)
@@ -203,11 +238,11 @@ def _parallel_sweep_stopped_by_sink(stop_at: int) -> int:
 
 def test_parallel_sweep_reads_a_bounded_window_of_input():
     pulled = _parallel_sweep_stopped_by_sink(stop_at=1)
-    # the window, one chunk admitted when the first result came back, one
-    # more waiting for a slot, and the graph that closed that chunk
+    # the first result is awaited once the window of chunks is pending; the
+    # graph that closed the last of them was read too
     per_chunk = _BATCH_ENTRIES // (12 * 12)
     window = _CHUNKS_IN_FLIGHT_PER_JOB * 2
-    assert pulled <= (window + 2) * per_chunk + 1
+    assert pulled <= window * per_chunk + 1
 
 
 def test_parallel_sweep_with_a_failing_sink_raises_instead_of_hanging():
@@ -479,11 +514,9 @@ def test_sharpness_graph_selection():
 
 def test_sharpness_rows_are_check_graph_records():
     for row in sharpness_report([4, 6, 8, 10, 16]).rows:
-        record = check_graph(sharpness_graph(row.n))
+        record = check_graph(sharpness_graph(row.record.n))
         assert record.verdict == VERDICT_BOUNDARY
-        for name in JSONL_FIELDS:
-            if name != "verdict":
-                assert getattr(row, name) == getattr(record, name)
+        assert row.record == record
         assert row.gap == record.q1 - record.q1_threshold
 
 
@@ -492,10 +525,10 @@ def test_sharpness_report():
     assert report.passed
     for row in report.rows:
         assert abs(row.gap) <= 1e-8
-        assert not row.has_pm
+        assert not row.record.has_pm
         assert row.witness_deficiency >= 1
-        assert row.edges == row.edge_threshold
-    by_n = {row.n: row for row in report.rows}
+        assert row.record.edges == row.record.edge_threshold
+    by_n = {row.record.n: row.record for row in report.rows}
     assert by_n[6].q1 == pytest.approx(4 + 2 * math.sqrt(3), abs=1e-10)
     assert by_n[8].q1 == pytest.approx(6 + 2 * math.sqrt(6), abs=1e-10)
     assert by_n[6].witness == (0, 1)

@@ -31,7 +31,7 @@ from .graph6 import (
     decode_graph6,
     encode_graph6,
     read_edge_list,
-    read_stream,
+    scan_stream,
 )
 from .matching import (
     MatchingResult,
@@ -43,7 +43,6 @@ from .proof_harness import (
     ProofInstance,
     PropertyReport,
     build_m1,
-    build_m2,
     build_m3,
     build_m4,
     build_m5,
@@ -81,12 +80,11 @@ from .verify import (
     CorpusSummary,
     VerdictRecord,
     check_graph,
-    check_graphs,
     run_exhaustive,
     run_random,
     run_stream,
     sharpness_graph,
-    sharpness_report,
+    sharpness_row,
 )
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from .verify import (
     run_exhaustive,
     run_random,
     run_stream,
-    sharpness_report,
+    sharpness_row,
 )
 
 
@@ -105,8 +105,26 @@ def _cmd_check(args, stdout) -> int:
     return 1 if record.verdict == VERDICT_COUNTEREXAMPLE else 0
 
 
+class _LazySink:
+    """A text file created or truncated at its first write, so a sweep
+    refused before its first record leaves an existing file as it was."""
+
+    def __init__(self, path: str):
+        self._path = path
+        self._handle: IO[str] | None = None
+
+    def write(self, text: str) -> int:
+        if self._handle is None:
+            self._handle = open(self._path, "w", encoding="utf-8")
+        return self._handle.write(text)
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+
+
 def _cmd_verify(args, stdout) -> int:
-    sink = open(args.out, "w", encoding="utf-8") if args.out else None
+    sink = _LazySink(args.out) if args.out else None
     try:
         if args.exhaustive is not None:
             summary = run_exhaustive(args.exhaustive, out=sink, jobs=args.jobs)
@@ -121,6 +139,8 @@ def _cmd_verify(args, stdout) -> int:
             summary = run_random(
                 args.random, args.p, args.count, args.seed, out=sink, jobs=args.jobs
             )
+        if sink is not None:
+            sink.write("")  # a clean sweep with no records still writes the file
     finally:
         if sink is not None:
             sink.close()
@@ -129,7 +149,7 @@ def _cmd_verify(args, stdout) -> int:
 
 
 def _cmd_extremal(args, stdout) -> int:
-    row = sharpness_report([args.n]).rows[0]
+    row = sharpness_row(args.n)
     record = row.record
     print(f"n {record.n}", file=stdout)
     print(f"edges {record.edges}", file=stdout)

@@ -25,10 +25,6 @@ class Graph:
         self.n = n
         self._adj = adj
 
-    def adjacency_mask(self, v: int) -> int:
-        """Bitmask of neighbours of v (bit u set iff uv is an edge)."""
-        return self._adj[v]
-
     def adjacency_masks(self) -> tuple[int, ...]:
         return self._adj
 

@@ -153,15 +153,6 @@ def scan_stream(lines: Iterable[str]) -> Iterator[tuple[int, str] | ParseFailure
             yield ParseFailure(number, exc.offset, str(exc))
 
 
-def read_stream(lines: Iterable[str]) -> Iterator[Graph | ParseFailure]:
-    """Decode a graph6 stream: graphs in order, ParseFailure for bad lines.
-
-    An optional '>>graph6<<' header and blank lines are skipped.
-    """
-    for item in scan_stream(lines):
-        yield item if isinstance(item, ParseFailure) else decode_graph6(item[1])
-
-
 def read_edge_list(lines: Iterable[str]) -> Graph:
     """Parse the plain edge-list fixture format.
 

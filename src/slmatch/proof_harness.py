@@ -149,14 +149,6 @@ def build_m1(inst: ProofInstance) -> np.ndarray:
     return M
 
 
-def build_m2(inst: ProofInstance) -> np.ndarray:
-    """M1 template after shifting two vertices into the largest component."""
-    shifted = shifted_instance(inst)
-    if shifted is None:
-        raise InputError("no component of order >= 3 is available to shift from")
-    return build_m1(shifted)
-
-
 def build_m3(inst: ProofInstance) -> np.ndarray:
     """3x3 quotient template {largest component, S, remaining singletons}."""
     if any(p != 1 for p in inst.parts[1:]):
@@ -573,8 +565,7 @@ def run_proof_suite(nmax: int = 12) -> ProofSuiteResult:
     for n in range(4, min(nmax, 12) + 1, 2):
         instances.extend(exhaustive_instances(n))
     if nmax >= 14:
-        sampled = sample_instances(n_max=min(nmax, 40))
-        instances.extend(i for i in sampled if i.n <= nmax)
+        instances.extend(sample_instances(n_max=min(nmax, 40)))
     for inst in instances:
         reports.append(check_root_bounds(inst))
         reports.append(check_vertex_shift(inst))

@@ -8,7 +8,7 @@ verdict: the extremal constructions attain the threshold exactly, so a strict
 floating-point comparison there would be meaningless.
 
 Sweeps cut their graphs into same-order chunks (`_chunks`), one stacked
-eigensolver call each, and skip the hypothesis checks of `check_graphs`:
+eigensolver call each, and skip the hypothesis checks of `check_graph`:
 every sweep source yields only connected graphs of even order >= 4.
 """
 
@@ -21,11 +21,11 @@ from collections import Counter, deque
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator
 
 from .errors import HypothesisError, InputError
 from .generate import all_connected, connected_graph_count
-from .graph import Graph, deficiency, is_connected, proof_graph
+from .graph import Graph, is_connected, proof_graph
 from .graph6 import ParseFailure, decode_graph6, encode_graph6, scan_stream
 from .matching import maximum_matching
 from .spectral import (
@@ -150,24 +150,24 @@ def _check_chunk(chunk: list[Graph]) -> list[VerdictRecord]:
     return list(map(_record, chunk, radii))
 
 
-def check_graphs(graphs: Sequence[Graph]) -> list[VerdictRecord]:
-    """Evaluate both conditions on each graph, hypotheses first for all of
-    them (sweeps skip this: their sources meet them); then each `_chunks`
-    chunk, a run of same-order graphs, shares one stacked eigensolver call.
-    Input order is kept."""
-    for G in graphs:
-        if G.n < 4:
-            raise HypothesisError("order-too-small", f"need n >= 4, got {G.n}")
-        if G.n % 2:
-            raise HypothesisError("odd-order", f"need even order, got {G.n}")
-        if not is_connected(G):
-            raise HypothesisError("disconnected", "need a connected graph")
-    return list(chain.from_iterable(map(_check_chunk, _chunks(graphs))))
+def _order_failure(n: int) -> tuple[str, str] | None:
+    """(reason, message) of the order hypothesis an order-n graph fails,
+    parity first; None for an even order >= 4."""
+    if n % 2:
+        return "odd-order", f"need even order, got {n}"
+    if n < 4:
+        return "order-too-small", f"need n >= 4, got {n}"
+    return None
 
 
 def check_graph(G: Graph) -> VerdictRecord:
     """Evaluate both conditions on one connected graph of even order >= 4."""
-    return check_graphs([G])[0]
+    failure = _order_failure(G.n)
+    if failure is not None:
+        raise HypothesisError(*failure)
+    if not is_connected(G):
+        raise HypothesisError("disconnected", "need a connected graph")
+    return _check_chunk([G])[0]
 
 
 # Parse failures a stream summary keeps; skipped["parse-error"] counts them all.
@@ -274,10 +274,9 @@ def run_stream(
                     summary.parse_failures.append(item)
                 continue
             n, line = item
-            if n % 2:
-                summary.skipped["odd-order"] += 1
-            elif n < 4:
-                summary.skipped["order-too-small"] += 1
+            failure = _order_failure(n)
+            if failure is not None:
+                summary.skipped[failure[0]] += 1
             elif n > MAX_DENSE_ORDER:
                 summary.skipped["order-too-large"] += 1
             elif not is_connected(G := decode_graph6(line)):
@@ -324,43 +323,22 @@ def sharpness_graph(n: int) -> Graph:
 
 @dataclass(frozen=True)
 class SharpnessRow:
-    """One order's sharpness-graph record, its witness recounted on the
-    graph, and whether the row passes."""
+    """One order's sharpness-graph record and whether the row passes."""
 
     record: VerdictRecord
-    witness_deficiency: int | None
     passed: bool
 
-    @property
-    def gap(self) -> float:
-        return self.record.q1 - self.record.q1_threshold
 
-
-@dataclass
-class SharpnessReport:
-    rows: list[SharpnessRow]
-
-    @property
-    def passed(self) -> bool:
-        return all(row.passed for row in self.rows)
-
-
-def sharpness_report(ns: Iterable[int]) -> SharpnessReport:
-    """For each order, the sharpness graph's `check_graph` record: the graph
-    passes when its verdict is boundary (it attains the threshold within
-    EPSILON), its witness recounts to deficiency >= 1 on the graph, and
-    its edge count meets the edge threshold."""
-    rows = []
-    for n in ns:
-        G = sharpness_graph(n)
-        record = check_graph(G)
-        witness = record.witness
-        recount = None if witness is None else deficiency(G, witness)
-        ok = (
-            record.verdict == VERDICT_BOUNDARY
-            and recount is not None
-            and recount >= 1
-            and record.edges == record.edge_threshold
-        )
-        rows.append(SharpnessRow(record, recount, ok))
-    return SharpnessReport(rows)
+def sharpness_row(n: int) -> SharpnessRow:
+    """The sharpness graph's `check_graph` record for order n: the row passes
+    when its verdict is boundary (the graph attains the threshold within
+    EPSILON), it has no perfect matching, and its edge count meets the edge
+    threshold.  The witness needs no recount: `maximum_matching` raises
+    unless its deficiency is n - 2 nu, at least 2 here."""
+    record = check_graph(sharpness_graph(n))
+    passed = (
+        record.verdict == VERDICT_BOUNDARY
+        and not record.has_pm
+        and record.edges == record.edge_threshold
+    )
+    return SharpnessRow(record, passed)

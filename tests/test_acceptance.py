@@ -37,7 +37,8 @@ from slmatch import (
     run_exhaustive,
     sample_connected,
     sample_instances,
-    sharpness_report,
+    sharpness_graph,
+    sharpness_row,
     signless_laplacians,
     spectral_radius,
     tutte_berge_oracle,
@@ -60,18 +61,18 @@ def exhaustive_runs():
     return summaries, time.perf_counter() - start
 
 
-def test_criterion_1_sharpness_reproduction():
+def test_criterion_1_sharpness_reproduction(nx_odd_components):
     start = time.perf_counter()
     ok = all(
         abs(q1(extremal_h(n)) - r_of_n(n)) <= 1e-8 for n in (4, 10, 12, 20, 50, 100)
     )
     ok &= abs(q1(join(complete_graph(2), empty_graph(4))) - (4 + 2 * math.sqrt(3))) <= 1e-10
     ok &= abs(q1(join(complete_graph(3), empty_graph(5))) - (6 + 2 * math.sqrt(6))) <= 1e-10
-    report = sharpness_report([4, 6, 8, 10, 12, 20, 50, 100])
-    ok &= report.passed
-    ok &= all(
-        not row.record.has_pm and row.witness_deficiency >= 1 for row in report.rows
-    )
+    for n in (4, 6, 8, 10, 12, 20, 50, 100):
+        row = sharpness_row(n)
+        witness = row.record.witness
+        ok &= row.passed and not row.record.has_pm
+        ok &= nx_odd_components(sharpness_graph(n), witness) - len(witness) >= 2
     elapsed = time.perf_counter() - start
     ok &= elapsed < 10.0
     _report(1, "sharpness-reproduction", ok, f"{elapsed:.2f}s")

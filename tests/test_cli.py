@@ -111,6 +111,36 @@ def test_verify_graph6_file(tmp_path):
     assert "skipped parse-error 1\n" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--exhaustive", "5"],
+        ["--random", "12", "--count", "5"],
+        ["--random", "12", "--p", "1.5", "--count", "5"],
+        ["--exhaustive", "4", "--jobs", "0"],
+        ["--graph6-file", "missing.g6"],
+    ],
+)
+def test_refused_verify_leaves_the_out_file_as_it_was(argv, tmp_path, capsys):
+    out_path = tmp_path / "keep.jsonl"
+    out_path.write_bytes(b"keep\n")
+    argv = [str(tmp_path / arg) if arg.endswith(".g6") else arg for arg in argv]
+    assert run_cli(["verify", *argv, "--out", str(out_path)]) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out_path.read_bytes() == b"keep\n"
+
+
+def test_verify_with_no_records_still_writes_an_empty_out_file(tmp_path):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("Bw\n")
+    out_path = tmp_path / "records.jsonl"
+    out_path.write_bytes(b"stale\n")
+    code, out = run_cli(["verify", "--graph6-file", str(corpus), "--out", str(out_path)])
+    assert code == 0
+    assert "checked 0\n" in out
+    assert out_path.read_bytes() == b""
+
+
 def test_verify_graph6_file_counts_a_non_utf8_byte_as_a_parse_error(tmp_path):
     corpus = tmp_path / "corpus.g6"
     corpus.write_bytes(b"C~\nC\xff\nC~\n")

@@ -19,7 +19,7 @@ from slmatch import (
     encode_graph6,
     extremal_h,
     read_edge_list,
-    read_stream,
+    scan_stream,
 )
 from slmatch.generate import edge_mask_to_graph
 
@@ -163,26 +163,26 @@ def test_decode_errors_keep_offset_and_message(line, offset, message):
     assert (err.value.offset, str(err.value)) == (offset, message)
 
 
-def test_read_stream_mixed_lines():
+def test_scan_stream_mixed_lines():
     lines = [">>graph6<<", "", "C~", "Bg", "??garbage!", " @ "]
-    items = list(read_stream(lines))
-    assert items[0] == complete_graph(4)
-    assert items[1] == build_graph(3, [(0, 1), (1, 2)])
+    items = list(scan_stream(lines))
+    assert items[0] == (4, "C~")
+    assert items[1] == (3, "Bg")
     assert isinstance(items[2], ParseFailure)
     assert items[2].line_number == 5
-    assert items[3] == empty_graph(1)
+    assert items[3] == (1, "@")
 
 
-def test_read_stream_header_inline():
-    items = list(read_stream([">>graph6<<C~"]))
-    assert items == [complete_graph(4)]
+def test_scan_stream_header_inline():
+    items = list(scan_stream([">>graph6<<C~"]))
+    assert items == [(4, "C~")]
 
 
-def test_read_stream_strips_only_ascii_whitespace():
+def test_scan_stream_strips_only_ascii_whitespace():
     # \x85 and \xa0 are whitespace to str.strip() but are bytes of the line
     lines = [">>graph6<< \tC~\x0b\x0c\r\n", ">>graph6<<\xa0C~", "C~\x85", "\x1cC~"]
-    items = list(read_stream(lines))
-    assert items[0] == complete_graph(4)
+    items = list(scan_stream(lines))
+    assert items[0] == (4, "C~")
     assert [item.line_number for item in items[1:]] == [2, 3, 4]
     assert [item.offset for item in items[1:]] == [0, 2, 0]
 

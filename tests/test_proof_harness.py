@@ -14,7 +14,6 @@ from slmatch import (
     InputError,
     ProofInstance,
     build_m1,
-    build_m2,
     build_m3,
     build_m4,
     build_m5,
@@ -84,15 +83,6 @@ def test_build_m1_equals_computed_quotient():
         assert is_equitable(Q, inst.partition())
         C = quotient_matrix(Q, inst.partition())
         assert np.allclose(build_m1(inst), C, atol=1e-12)
-
-
-def test_build_m2_is_the_shifted_template():
-    assert np.array_equal(
-        build_m2(ProofInstance(1, (3, 3, 3))),
-        build_m1(ProofInstance(1, (5, 3, 1))),
-    )
-    with pytest.raises(InputError):
-        build_m2(ProofInstance(1, (7, 1, 1)))
 
 
 def _three_class_partition(inst):

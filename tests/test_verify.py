@@ -39,7 +39,7 @@ from slmatch import (
     run_stream,
     sample_connected,
     sharpness_graph,
-    sharpness_report,
+    sharpness_row,
 )
 from slmatch.errors import CapacityError
 from slmatch.spectral import _KRYLOV_MIN_ORDER, MAX_DENSE_ORDER, q1
@@ -48,8 +48,8 @@ from slmatch.verify import (
     _CHUNKS_IN_FLIGHT_PER_JOB,
     JSONL_FIELDS,
     VerdictRecord,
+    _check_chunk,
     _chunks,
-    check_graphs,
 )
 
 
@@ -80,22 +80,17 @@ def test_check_graph_boundary_is_not_a_counterexample():
 
 
 def test_check_graph_hypothesis_errors():
-    with pytest.raises(HypothesisError) as err:
-        check_graph(complete_graph(5))
-    assert err.value.reason == "odd-order"
+    # parity is checked before size, as run_stream counts its skips
+    for n in (5, 3, 1):
+        with pytest.raises(HypothesisError) as err:
+            check_graph(complete_graph(n))
+        assert (err.value.reason, str(err.value)) == ("odd-order", f"need even order, got {n}")
     with pytest.raises(HypothesisError) as err:
         check_graph(build_graph(4, [(0, 1), (2, 3)]))
     assert err.value.reason == "disconnected"
     with pytest.raises(HypothesisError) as err:
         check_graph(complete_graph(2))
     assert err.value.reason == "order-too-small"
-
-
-def test_check_graphs_validates_before_eigen_work():
-    with pytest.raises(HypothesisError) as err:
-        check_graphs([complete_graph(4), complete_graph(6), complete_graph(5)])
-    assert err.value.reason == "odd-order"
-    assert check_graphs([]) == []
 
 
 def _mixed_order_stream():
@@ -157,7 +152,7 @@ def test_each_sweep_checks_connectivity_once(monkeypatch):
         return is_connected(G)
 
     # every sweep source yields only connected graphs, so the sweeps leave
-    # the hypothesis checks of check_graphs out
+    # the hypothesis checks of check_graph out
     monkeypatch.setattr(slmatch.verify, "is_connected", counted)
     assert run_exhaustive(6).checked == 26704
     run_random(12, 0.85, 300, seed=5)
@@ -303,7 +298,7 @@ def test_jsonl_field_order_and_types():
     assert isinstance(payload["edge_threshold"], int)
     sink = io.StringIO()
     run_exhaustive(4, out=sink)
-    records = check_graphs(list(all_connected(4)))
+    records = [check_graph(G) for G in all_connected(4)]
     assert len(records) == 38
     assert sink.getvalue() == "".join(r.to_json() + "\n" for r in records)
     for record in records:
@@ -316,7 +311,7 @@ def test_records_above_the_krylov_order_carry_python_floats():
     n = _KRYLOV_MIN_ORDER + _KRYLOV_MIN_ORDER % 2
     dense = next(sample_connected(n, 0.5, 1, seed=3))
     path = build_graph(n, [(i, i + 1) for i in range(n - 1)])
-    for record in check_graphs([dense, path]) + [check_graph(dense), check_graph(path)]:
+    for record in _check_chunk([dense, path]) + [check_graph(dense), check_graph(path)]:
         assert type(record.q1) is float
         payload = json.loads(record.to_json())
         assert payload["q1"] == record.q1
@@ -513,22 +508,23 @@ def test_sharpness_graph_selection():
 
 
 def test_sharpness_rows_are_check_graph_records():
-    for row in sharpness_report([4, 6, 8, 10, 16]).rows:
-        record = check_graph(sharpness_graph(row.record.n))
+    for n in (4, 6, 8, 10, 16):
+        record = check_graph(sharpness_graph(n))
         assert record.verdict == VERDICT_BOUNDARY
-        assert row.record == record
-        assert row.gap == record.q1 - record.q1_threshold
+        assert sharpness_row(n).record == record
 
 
-def test_sharpness_report():
-    report = sharpness_report([4, 6, 8, 10, 16])
-    assert report.passed
-    for row in report.rows:
-        assert abs(row.gap) <= 1e-8
-        assert not row.record.has_pm
-        assert row.witness_deficiency >= 1
-        assert row.record.edges == row.record.edge_threshold
-    by_n = {row.record.n: row.record for row in report.rows}
+def test_sharpness_report(nx_odd_components):
+    rows = [sharpness_row(n) for n in (4, 6, 8, 10, 16)]
+    for row in rows:
+        record = row.record
+        assert row.passed
+        assert abs(record.q1 - record.q1_threshold) <= 1e-8
+        assert not record.has_pm
+        witness = record.witness
+        assert nx_odd_components(sharpness_graph(record.n), witness) - len(witness) >= 2
+        assert record.edges == record.edge_threshold
+    by_n = {row.record.n: row.record for row in rows}
     assert by_n[6].q1 == pytest.approx(4 + 2 * math.sqrt(3), abs=1e-10)
     assert by_n[8].q1 == pytest.approx(6 + 2 * math.sqrt(6), abs=1e-10)
     assert by_n[6].witness == (0, 1)

@@ -52,7 +52,6 @@ from .proof_harness import (
     check_root_bounds,
     check_vertex_shift,
     exhaustive_instances,
-    r_l_of_n,
     run_proof_suite,
     sample_instances,
     verify_polynomial_transcriptions,
@@ -66,10 +65,10 @@ from .spectral import (
     q1,
     q1_threshold,
     quotient_matrix,
+    r_l_of_n,
     r_of_n,
     signless_laplacians,
     spectral_radius,
-    threshold_poly,
 )
 from .verify import (
     EPSILON,

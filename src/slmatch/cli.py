@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = success / no counterexample, 1 = counterexample or property
-violation, 2 = input error.  Numbers are printed with 12 significant digits
-so golden outputs are portable.
+violation, 2 = input error (an order too large to compute at included).
+Numbers are printed with 12 significant digits so goldens are portable.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 from collections import Counter
 from typing import IO
 
-from .errors import Graph6ParseError, InputError, SamplingError
+from .errors import Graph6ParseError, InputError, NumericalError, SamplingError
 from .graph import Graph
 from .graph6 import decode_graph6, read_edge_list
 from .proof_harness import (
@@ -83,9 +83,10 @@ def _cmd_threshold(args, stdout) -> int:
 
 
 def _cmd_rn(args, stdout) -> int:
-    print(f"r_n {_fmt(r_of_n(args.n))}", file=stdout)
-    if args.closed_form:
-        print(f"closed_form {_fmt(closed_form_r(args.n))}", file=stdout)
+    # both values first, so a refused order prints nothing
+    r = _fmt(r_of_n(args.n))
+    closed = f"\nclosed_form {_fmt(closed_form_r(args.n))}" if args.closed_form else ""
+    print(f"r_n {r}{closed}", file=stdout)
     return 0
 
 
@@ -258,7 +259,7 @@ def main(argv: list[str] | None = None, stdout: IO[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args, stdout)
-    except (InputError, Graph6ParseError, SamplingError, OSError) as exc:
+    except (InputError, Graph6ParseError, NumericalError, SamplingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -157,7 +157,7 @@ def read_edge_list(lines: Iterable[str]) -> Graph:
     """Parse the plain edge-list fixture format.
 
     First non-blank line is "n <edge count>"; each following non-blank line is
-    one "u v" pair, 0-based.  Whitespace-tolerant.  n <= graph6's 258047.
+    one "u v" pair, 0-based.  Whitespace-tolerant.  n <= MAX_DENSE_ORDER.
     """
     rows = [row.strip() for row in lines]
     rows = [row for row in rows if row]
@@ -170,8 +170,9 @@ def read_edge_list(lines: Iterable[str]) -> Graph:
         n, count = int(head[0]), int(head[1])
     except ValueError as exc:
         raise InputError(f"non-integer header {rows[0]!r}") from exc
-    if n > _MAX_ORDER:  # refused before anything of order n is built
-        raise CapacityError(f"edge lists support orders up to {_MAX_ORDER}, got {n}")
+    from .spectral import _require_dense_order
+
+    _require_dense_order(n)  # refused before anything of order n is built
     if count != len(rows) - 1:
         raise InputError(f"header announces {count} edges, found {len(rows) - 1}")
     edges = []

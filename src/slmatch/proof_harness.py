@@ -35,7 +35,6 @@ import numpy as np
 from .errors import InputError
 from .graph import proof_graph
 from .spectral import (
-    _largest_root,
     _matching_threshold_cubic,
     _require_dense_order,
     _require_even_order,
@@ -43,6 +42,7 @@ from .spectral import (
     char_poly,
     polyval,
     q1,
+    r_l_of_n,
     r_of_n,
     spectral_radius,
 )
@@ -180,13 +180,6 @@ def build_m5(s: int) -> np.ndarray:
         raise InputError(f"s must be a positive integer, got {s!r}")
     n = 2 * s + 2
     return np.array([[n + s - 2, s + 2], [s, s]], dtype=int)
-
-
-def r_l_of_n(n: int) -> float:
-    """Largest root of the 2x2 template's characteristic polynomial,
-    (2n - 4 + sqrt(2n(n-2))) / 2, at an even order n >= 4, correctly rounded."""
-    # the polynomial shifted to x = n - 2 is x^2 - n(n-2)/2, which isolates it
-    return _largest_root(char_poly(build_m5(_require_even_order(n) // 2 - 1)), n - 2)
 
 
 # ---------------------------------------------------------------------------

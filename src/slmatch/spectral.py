@@ -293,8 +293,10 @@ def _largest_root(p: Sequence[int], anchor: int) -> float:
     signs = [c > 0 for c in shifted if c]
     if shifted[-1] >= 0 or sum(a != b for a, b in zip(signs, signs[1:])) != 1:
         raise NumericalError(f"cannot isolate the largest root of {list(p)} above {anchor}")
-    # Cauchy's bound on the roots of p(x + anchor)
-    lo, hi = float(anchor), float(anchor + 2 + max(map(abs, shifted[1:])) // shifted[0])
+    try:  # Cauchy's bound on the roots of p(x + anchor)
+        lo, hi = float(anchor), float(anchor + 2 + max(map(abs, shifted[1:])) // shifted[0])
+    except OverflowError:
+        raise NumericalError("the roots' Cauchy bound exceeds the float range") from None
     while True:
         mid = (lo + hi) / 2
         if mid in (lo, hi):
@@ -308,6 +310,11 @@ def _largest_root(p: Sequence[int], anchor: int) -> float:
 
 def _matching_threshold_cubic(n: int) -> list[int]:
     return [1, -(3 * n - 7), n * (2 * n - 7), -2 * (n * n - 7 * n + 12)]
+
+
+# the characteristic polynomial of the complete split graph's 2x2 quotient
+def _split_graph_quadratic(n: int) -> list[int]:
+    return [1, -(2 * n - 4), (n // 2 - 1) * (n - 4)]
 
 
 def _require_even_order(n, name: str = "order") -> int:
@@ -327,6 +334,14 @@ def r_of_n(n: int) -> float:
     return _largest_root(_matching_threshold_cubic(n), 2 * n - 6)
 
 
+def r_l_of_n(n: int) -> float:
+    """Largest root of x^2 - (2n-4)x + (n/2-1)(n-4), the q1 of
+    K_{n/2-1} v (n/2+1)K1, (2n - 4 + sqrt(2n(n-2))) / 2, correctly rounded."""
+    n = _require_even_order(n)
+    # the polynomial shifted to x = n - 2 is x^2 - n(n-2)/2, which isolates it
+    return _largest_root(_split_graph_quadratic(n), n - 2)
+
+
 def closed_form_r(n: int) -> float:
     """The same largest root, evaluated in closed form via complex cube roots.
 
@@ -337,10 +352,8 @@ def closed_form_r(n: int) -> float:
     n = _require_even_order(n)
     half_q_scale = 9 * n * n - 63 * n + 38  # 27x the depressed cubic's q
     neg_p_scale = 3 * n * n - 21 * n + 49  # -3x the depressed cubic's p
-    disc = half_q_scale * half_q_scale - 4 * neg_p_scale**3  # exact integer
-    if disc % 27:
-        raise NumericalError("discriminant lost integrality")
-    disc //= 27
+    # with w = n(n-7) this is 27(-4w^3 - 193w^2 - 3176w - 17376), exactly
+    disc = (half_q_scale * half_q_scale - 4 * neg_p_scale**3) // 27
     w = complex(-half_q_scale) + 3.0 * math.sqrt(3.0) * cmath.sqrt(complex(disc))
     croot = w ** (1.0 / 3.0)  # principal branch
     value = (
@@ -356,27 +369,17 @@ def closed_form_r(n: int) -> float:
     return float(value.real)
 
 
-def threshold_poly(n: int) -> list[int]:
-    """Integer polynomial whose largest root is q1_threshold(n): the cubic of
-    r_of_n, except at n = 6 and 8, where K_s joined to s+2 isolated vertices
-    (s = 2, 3) wins with roots 4 + 2 sqrt 3 and 6 + 2 sqrt 6."""
-    n = _require_even_order(n)
-    return {6: [1, -8, 4], 8: [1, -12, 12]}.get(n) or _matching_threshold_cubic(n)
-
-
 @lru_cache(maxsize=None)
 def q1_threshold(n: int) -> float:
     """Spectral-radius threshold above which a perfect matching is guaranteed,
-    correctly rounded."""
-    return _largest_root(threshold_poly(n), 2 * int(n) - 6)
+    max(r(n), r_l(n)), correctly rounded: r_l(n) wins only at n = 6 and 8."""
+    return max(r_of_n(n), r_l_of_n(n))
 
 
 @lru_cache(maxsize=None)
 def edge_threshold(n: int) -> int:
-    """Edge-count threshold above which a perfect matching is guaranteed."""
+    """Edge-count threshold above which a perfect matching is guaranteed: the
+    larger edge count of K1 v (K_{n-3} u 2K1) and K_{n/2-1} v (n/2+1)K1.
+    They differ by (n-4)(n-10)/8, so the split graph wins only at n = 6, 8."""
     n = _require_even_order(n)
-    if n == 6:
-        return 9
-    if n == 8:
-        return 18
-    return (n * n - 5 * n + 10) // 2
+    return max((n * n - 5 * n + 10) // 2, 3 * n * (n - 2) // 8)

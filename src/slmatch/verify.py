@@ -31,8 +31,11 @@ from .matching import maximum_matching
 from .spectral import (
     MAX_DENSE_ORDER,
     _require_dense_order,
+    _require_even_order,
     edge_threshold,
     q1_threshold,
+    r_l_of_n,
+    r_of_n,
     signless_laplacians,
     spectral_radius,
 )
@@ -299,9 +302,8 @@ def run_random(
     """Check `count` seeded random connected graphs from G(n, p)."""
     from .generate import sample_connected
 
-    if n < 4 or n % 2:
-        raise InputError(f"random verification needs even n >= 4, got {n}")
-    _require_dense_order(n)  # before drawing the n(n-1)/2 pairs of each sample
+    # before drawing the n(n-1)/2 pairs of each sample
+    _require_dense_order(_require_even_order(n))
     summary = CorpusSummary(expected_count=count)
     _absorb_all(_iter_records(sample_connected(n, p, count, seed), jobs), summary, out)
     return summary
@@ -312,12 +314,9 @@ def run_random(
 
 
 def sharpness_graph(n: int) -> Graph:
-    """The matching-free graph attaining the threshold for order n."""
-    if n < 4 or n % 2:
-        raise InputError(f"sharpness graphs exist for even n >= 4, got {n}")
-    # K_s joined to one clique and s+1 singletons: K2 v 4K1 at n = 6,
-    # K3 v 5K1 at n = 8, and extremal_h(n) = K1 v (K_{n-3} u 2K1) otherwise
-    s = {6: 2, 8: 3}.get(n, 1)
+    """The matching-free graph attaining the threshold for order n:
+    K1 v (K_{n-3} u 2K1) where r(n) >= r_l(n), else K_{n/2-1} v (n/2+1)K1."""
+    s = 1 if r_of_n(n) >= r_l_of_n(n) else n // 2 - 1
     return proof_graph(s, (n - 2 * s - 1,) + (1,) * (s + 1))
 
 
@@ -335,6 +334,7 @@ def sharpness_row(n: int) -> SharpnessRow:
     EPSILON), it has no perfect matching, and its edge count meets the edge
     threshold.  The witness needs no recount: `maximum_matching` raises
     unless its deficiency is n - 2 nu, at least 2 here."""
+    _require_dense_order(_require_even_order(n))  # before the graph is built
     record = check_graph(sharpness_graph(n))
     passed = (
         record.verdict == VERDICT_BOUNDARY

@@ -400,6 +400,48 @@ def test_proof_check_oversize_instance_exits_2_before_building(monkeypatch, caps
     assert "dense Q supports orders up to 4096, got 40002" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["extremal", "--n", "60000"], ["check", "--edges"], ["q1", "--edges"]]
+)
+def test_single_graph_commands_refuse_a_dense_order_before_building(
+    argv, monkeypatch, tmp_path, capsys
+):
+    def refuse(*args):
+        raise AssertionError("an oversize graph was built")
+
+    monkeypatch.setattr(verify, "proof_graph", refuse)
+    monkeypatch.setattr(slmatch.graph, "build_graph", refuse)
+    if argv[-1] == "--edges":
+        path, n = tmp_path / "path.edges", 50_000
+        path.write_text(f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1)))
+        argv = argv + [str(path)]
+    assert run_cli(argv) == (2, "")
+    order = 60000 if argv[0] == "extremal" else 50000
+    assert capsys.readouterr().err == f"error: dense Q supports orders up to 4096, got {order}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rn", "--n", "4000000000", "--closed-form"], "imaginary residue -3.099e-06"),
+        (["threshold", "--n", str(10**154)], "the roots' Cauchy bound"),
+        (["rn", "--n", str(10**154)], "the roots' Cauchy bound"),
+    ],
+)
+def test_orders_too_large_to_compute_exit_2_with_one_error_line(argv, message, capsys):
+    assert run_cli(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["extremal", "--n", "5"], ["verify", "--random", "5", "--p", "0.5", "--count", "3"]]
+)
+def test_odd_orders_name_the_one_even_order_rule(argv, capsys):
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err == "error: order must be an even integer >= 4, got 5\n"
+
+
 def test_unknown_subcommand_exits_2():
     assert run_cli(["frobnicate"])[0] == 2
 
@@ -422,7 +464,7 @@ def test_edge_file_above_the_graph6_order_exits_2(tmp_path, capsys):
     path.write_text("1000000000000 0\n")
     assert run_cli(["q1", "--edges", str(path)]) == (2, "")
     err = capsys.readouterr().err
-    assert err == "error: edge lists support orders up to 258047, got 1000000000000\n"
+    assert err == "error: dense Q supports orders up to 4096, got 1000000000000\n"
 
 
 def _python_m_slmatch(*argv):

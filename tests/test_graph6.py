@@ -22,6 +22,7 @@ from slmatch import (
     scan_stream,
 )
 from slmatch.generate import edge_mask_to_graph
+from slmatch.spectral import MAX_DENSE_ORDER
 
 
 def test_decode_hand_packed_values():
@@ -197,5 +198,5 @@ def test_read_edge_list():
     with pytest.raises(InputError):
         read_edge_list(["3 1", "0 x"])
     with pytest.raises(CapacityError):
-        read_edge_list(["258048 0"])  # above graph6's order limit
-    assert read_edge_list(["258047 0"]).n == 258047
+        read_edge_list([f"{MAX_DENSE_ORDER + 1} 0"])  # above the dense-Q order limit
+    assert read_edge_list([f"{MAX_DENSE_ORDER} 0"]).n == MAX_DENSE_ORDER

@@ -38,7 +38,7 @@ from slmatch import (
     verify_polynomial_transcriptions,
 )
 from slmatch.proof_harness import merged_instance, shifted_instance
-from slmatch.spectral import _matching_threshold_cubic
+from slmatch.spectral import _matching_threshold_cubic, _split_graph_quadratic
 
 
 def test_instance_normalisation_and_validation():
@@ -157,6 +157,11 @@ def test_r_l_closed_form_is_the_m5_radius():
         n = 2 * s + 2
         radius = max(np.linalg.eigvals(build_m5(s)).real)
         assert abs(r_l_of_n(n) - radius) <= 1e-9
+
+
+def test_r_l_quadratic_is_the_m5_char_poly():
+    for n in range(4, 201, 2):
+        assert _split_graph_quadratic(n) == char_poly(build_m5(n // 2 - 1)), n
 
 
 def _brackets(inst, lo, hi):

@@ -1,9 +1,15 @@
-"""The README's library example runs as written and prints what it says."""
+"""The README's library example runs as written and prints what it says,
+and its command-line examples parse."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from slmatch.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,3 +27,17 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(stdout):
         exec(compile(code, str(README), "exec"), {})
     assert stdout.getvalue() == "".join(expected)
+
+
+def test_readme_command_lines_parse():
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) >= 10 and all(argv[0] == "slmatch" for argv in commands)
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")

@@ -344,6 +344,28 @@ def test_edge_threshold():
         edge_threshold(5)
 
 
+def test_q1_threshold_is_the_root_of_the_old_n6_n8_table_at_every_dense_order():
+    # before max(r(n), r_l(n)), the threshold was the root of x^2 - 8x + 4 at
+    # n = 6, x^2 - 12x + 12 at n = 8 and the cubic of r(n) elsewhere
+    table = {6: [1, -8, 4], 8: [1, -12, 12]}
+    for n in range(4, spectral.MAX_DENSE_ORDER + 1, 2):
+        poly = table.get(n) or spectral._matching_threshold_cubic(n)
+        assert q1_threshold(n) == spectral._largest_root(poly, 2 * n - 6), n
+
+
+def test_edge_threshold_is_the_paper_formula_except_at_6_and_8():
+    for n in range(4, spectral.MAX_DENSE_ORDER + 1, 2):
+        assert edge_threshold(n) == {6: 9, 8: 18}.get(n, (n * n - 5 * n + 10) // 2), n
+
+
+def test_closed_form_discriminant_is_27_times_an_integer_polynomial():
+    # closed_form_r divides the discriminant by 27 with no remainder check
+    for n in range(-1000, 1000):
+        half_q_scale, neg_p_scale = 9 * n * n - 63 * n + 38, 3 * n * n - 21 * n + 49
+        disc, w = half_q_scale * half_q_scale - 4 * neg_p_scale**3, n * (n - 7)
+        assert disc == 27 * (-4 * w**3 - 193 * w**2 - 3176 * w - 17376), n
+
+
 def test_extremal_family_attains_edge_threshold():
     for n in [4] + list(range(10, 41, 2)):
         assert extremal_h(n).edge_count == edge_threshold(n)

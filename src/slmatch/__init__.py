@@ -60,11 +60,9 @@ from .spectral import (
     char_poly,
     closed_form_r,
     edge_threshold,
-    is_equitable,
     polyval,
     q1,
     q1_threshold,
-    quotient_matrix,
     r_l_of_n,
     r_of_n,
     signless_laplacians,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import CapacityError, Graph6ParseError, InputError
-from .graph import Graph
+from .graph import Graph, build_graph
 
 HEADER = ">>graph6<<"
 
@@ -184,6 +184,4 @@ def read_edge_list(lines: Iterable[str]) -> Graph:
             edges.append((int(cols[0]), int(cols[1])))
         except ValueError as exc:
             raise InputError(f"non-integer edge line {row!r}") from exc
-    from .graph import build_graph
-
     return build_graph(n, edges)

@@ -98,15 +98,6 @@ class ProofInstance:
     def graph(self):
         return proof_graph(self.s, self.parts)
 
-    def partition(self) -> list[list[int]]:
-        """{S, each component} as index classes of the graph's vertex layout."""
-        classes = [list(range(self.s))]
-        start = self.s
-        for p in self.parts:
-            classes.append(list(range(start, start + p)))
-            start += p
-        return classes
-
     def describe(self) -> str:
         return f"s={self.s} parts={list(self.parts)} (n={self.n})"
 

@@ -1,15 +1,13 @@
-"""Signless Laplacian matrices, spectral radii, quotient matrices, and the
-threshold functions of the perfect-matching condition.
+"""Signless Laplacian matrices, spectral radii, exact integer polynomials,
+and the threshold functions of the perfect-matching condition.
 
 Matrices are plain numpy arrays.  Spectral radii are taken of symmetric
 nonnegative matrices only, one or a (B, n, n) stack such as the signless
 Laplacians of a batch of graphs, on one of two paths chosen by the order:
 one stacked `eigvalsh` call below `_KRYLOV_MIN_ORDER`, and from there on a
 Lanczos Ritz value per matrix, kept only under a Collatz-Wielandt bound
-within `_KRYLOV_TOL`, else `eigvalsh`.  An equitable quotient C = S^-1 E (S
-the class sizes, E symmetric) is similar to sqrt(C * C.T) = S^-1/2 E S^-1/2,
-whose radius is taken instead.  A partition of matrix indices is an ordered
-sequence of disjoint, nonempty index collections covering 0..order-1.
+within `_KRYLOV_TOL`, else `eigvalsh`.  Characteristic polynomials and the
+threshold roots are computed in integers, each root correctly rounded.
 """
 
 from __future__ import annotations
@@ -175,65 +173,6 @@ def q1(G: Graph) -> float:
     return float(spectral_radius(signless_laplacians([G]))[0])
 
 
-def check_partition(classes: Sequence[Sequence[int]], order: int) -> list[list[int]]:
-    """Validate that `classes` partitions 0..order-1; returns them as lists."""
-    seen: set[int] = set()
-    out = []
-    for cls in classes:
-        members = list(cls)
-        if not members:
-            raise InputError("partition classes must be nonempty")
-        for idx in members:
-            if not (isinstance(idx, (int, np.integer)) and 0 <= idx < order):
-                raise InputError(f"index {idx!r} outside 0..{order - 1}")
-            if idx in seen:
-                raise InputError(f"index {idx} appears in two classes")
-            seen.add(idx)
-        out.append(members)
-    if len(seen) != order:
-        raise InputError("partition does not cover all indices")
-    return out
-
-
-_EQUITABLE_TOL = 1e-9  # row-sum spread allowed for non-integer matrices
-
-
-def _square(M: np.ndarray) -> np.ndarray:
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {M.shape}")
-    return M
-
-
-def _blocks(M, partition: Sequence[Sequence[int]]) -> tuple[np.ndarray, list, np.ndarray]:
-    """M as a float square matrix, the partition's classes, and their
-    order x classes indicator matrix."""
-    M = _square(np.asarray(M, dtype=float))
-    classes = check_partition(partition, M.shape[0])
-    Z = np.zeros((M.shape[0], len(classes)))
-    for j, members in enumerate(classes):
-        Z[members, j] = 1.0
-    return M, classes, Z
-
-
-def quotient_matrix(M: np.ndarray, partition: Sequence[Sequence[int]]) -> np.ndarray:
-    """Matrix of average block row sums of M under the partition."""
-    M, _, Z = _blocks(M, partition)
-    return (Z.T @ M @ Z) / Z.sum(axis=0)[:, None]
-
-
-def is_equitable(M: np.ndarray, partition: Sequence[Sequence[int]]) -> bool:
-    """True iff every block of M has constant row sums under the partition:
-    exactly for an integer-valued M, else within _EQUITABLE_TOL."""
-    M, classes, Z = _blocks(M, partition)
-    block_row_sums = M @ Z  # row v, column c: sum of M[v, u] over u in class c
-    exact = bool(np.all(M == np.rint(M)))
-    for members in classes:
-        spread = np.ptp(block_row_sums[members], axis=0)
-        if np.any(spread != 0.0 if exact else spread > _EQUITABLE_TOL):
-            return False
-    return True
-
-
 def char_poly(M) -> list[int]:
     """det(xI - M) of a square integer matrix, highest degree first.
 
@@ -241,7 +180,9 @@ def char_poly(M) -> list[int]:
     characteristic polynomial of M is the first len(A) + 2 coefficients of
     (1, -a, -RC, -RAC, -RA^2C, ...) convolved with that of A.
     """
-    M = _square(np.asarray(M))
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {M.shape}")
     if M.dtype.kind not in "iu":
         raise InputError(f"char_poly needs integer entries, got dtype {M.dtype}")
     rows = M.tolist()
@@ -293,12 +234,16 @@ def _largest_root(p: Sequence[int], anchor: int) -> float:
     signs = [c > 0 for c in shifted if c]
     if shifted[-1] >= 0 or sum(a != b for a, b in zip(signs, signs[1:])) != 1:
         raise NumericalError(f"cannot isolate the largest root of {list(p)} above {anchor}")
-    try:  # Cauchy's bound on the roots of p(x + anchor)
-        lo, hi = float(anchor), float(anchor + 2 + max(map(abs, shifted[1:])) // shifted[0])
+    # Fujiwara: p(x + anchor) = a_0 x^d + ... + a_d with a_0 >= 1 has every
+    # root below 2 max_k |a_k / a_0|^(1/k) < 2 max_k 2^ceil(bitlen(a_k) / k),
+    # a bound kept in integers until it is converted
+    bound = max(1 << -(-abs(c).bit_length() // k) for k, c in enumerate(shifted[1:], 1))
+    try:
+        lo, hi = float(anchor), float(anchor + 2 * bound)
     except OverflowError:
-        raise NumericalError("the roots' Cauchy bound exceeds the float range") from None
+        raise NumericalError("the roots' Fujiwara bound exceeds the float range") from None
     while True:
-        mid = (lo + hi) / 2
+        mid = lo / 2 + hi / 2  # (lo + hi) / 2, without overflowing near the float limit
         if mid in (lo, hi):
             break
         sign = _sign_at(p, mid)

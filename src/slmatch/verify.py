@@ -24,7 +24,7 @@ from itertools import chain
 from typing import IO, Iterable, Iterator
 
 from .errors import HypothesisError, InputError
-from .generate import all_connected, connected_graph_count
+from .generate import all_connected, connected_graph_count, sample_connected
 from .graph import Graph, is_connected, proof_graph
 from .graph6 import ParseFailure, decode_graph6, encode_graph6, scan_stream
 from .matching import maximum_matching
@@ -300,8 +300,6 @@ def run_random(
     jobs: int = 1,
 ) -> CorpusSummary:
     """Check `count` seeded random connected graphs from G(n, p)."""
-    from .generate import sample_connected
-
     # before drawing the n(n-1)/2 pairs of each sample
     _require_dense_order(_require_even_order(n))
     summary = CorpusSummary(expected_count=count)

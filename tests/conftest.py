@@ -1,4 +1,5 @@
 import networkx as nx
+import numpy as np
 import pytest
 
 from slmatch import build_graph, proof_harness
@@ -31,6 +32,29 @@ def nx_odd_components():
         return sum(len(c) % 2 for c in nx.connected_components(H))
 
     return count
+
+
+@pytest.fixture(scope="session")
+def exact_quotient():
+    """The quotient of an integer-valued matrix M under an ordered partition
+    of its indices, in integers.  With Z the order x classes indicator
+    matrix, B = M Z holds each row's sum over each class; the partition is
+    equitable iff B == Z C, C the row of B at each class's first index.
+    Returns C, or None when the partition is not equitable."""
+
+    def quotient(M, classes):
+        M = np.asarray(M)
+        exact = M.astype(np.int64)
+        assert np.array_equal(exact, M), "expected integer entries"
+        Z = np.zeros((len(M), len(classes)), dtype=np.int64)
+        for j, members in enumerate(classes):
+            Z[members, j] = 1
+        assert (Z.sum(axis=1) == 1).all(), "classes must cover each index once"
+        B = exact @ Z
+        C = B[[members[0] for members in classes]]
+        return C if np.array_equal(B, Z @ C) else None
+
+    return quotient
 
 
 @pytest.fixture

@@ -27,12 +27,10 @@ from slmatch import (
     encode_graph6,
     exhaustive_instances,
     extremal_h,
-    is_equitable,
     join,
     maximum_matching,
     q1,
     q1_threshold,
-    quotient_matrix,
     r_of_n,
     run_exhaustive,
     sample_connected,
@@ -113,39 +111,26 @@ def test_criterion_4_edge_theorem_sharpness(exhaustive_runs):
     _report(4, "edge-theorem-sharpness", ok)
 
 
-def _quotient_radius(Q, partition):
-    C = quotient_matrix(Q, partition)  # similar to the symmetric sqrt(C * C.T)
-    return spectral_radius(np.sqrt(C * C.T))
-
-
-def test_criterion_5_quotient_equality_suite():
-    worst = 0.0
-    for n in range(4, 41, 2):
-        Q = signless_laplacians([extremal_h(n)])[0]
-        partition = [list(range(1, n - 2)), [0], [n - 2, n - 1]]
-        assert is_equitable(Q, partition)
-        worst = max(
-            worst,
-            abs(_quotient_radius(Q, partition) - spectral_radius(Q)),
-        )
-    for G, partition in (
+def test_criterion_5_quotient_equality_suite(exact_quotient):
+    cases = [
+        (extremal_h(n), [list(range(1, n - 2)), [0], [n - 2, n - 1]])
+        for n in range(4, 41, 2)
+    ]
+    cases += [
         (join(complete_graph(2), empty_graph(4)), [[0, 1], [2, 3, 4, 5]]),
         (join(complete_graph(3), empty_graph(5)), [[0, 1, 2], [3, 4, 5, 6, 7]]),
-    ):
+    ]
+    cases += [
+        (inst.graph(), np.split(np.arange(inst.n), np.cumsum((inst.s,) + inst.parts[:-1])))
+        for inst in sample_instances(100, seed=917, n_min=6, n_max=40)
+    ]
+    worst = 0.0
+    for G, partition in cases:
         Q = signless_laplacians([G])[0]
-        assert is_equitable(Q, partition)
-        worst = max(
-            worst,
-            abs(_quotient_radius(Q, partition) - spectral_radius(Q)),
-        )
-    for inst in sample_instances(100, seed=917, n_min=6, n_max=40):
-        Q = signless_laplacians([inst.graph()])[0]
-        partition = inst.partition()
-        assert is_equitable(Q, partition)
-        worst = max(
-            worst,
-            abs(_quotient_radius(Q, partition) - spectral_radius(Q)),
-        )
+        C = exact_quotient(Q, partition)
+        assert C is not None
+        # C is similar to the symmetric sqrt(C * C.T)
+        worst = max(worst, abs(spectral_radius(np.sqrt(C * C.T)) - spectral_radius(Q)))
     _report(5, "quotient-equality-suite", worst <= 1e-8, f"worst gap {worst:.2e}")
 
 

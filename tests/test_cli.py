@@ -424,14 +424,22 @@ def test_single_graph_commands_refuse_a_dense_order_before_building(
     "argv, message",
     [
         (["rn", "--n", "4000000000", "--closed-form"], "imaginary residue -3.099e-06"),
-        (["threshold", "--n", str(10**154)], "the roots' Cauchy bound"),
-        (["rn", "--n", str(10**154)], "the roots' Cauchy bound"),
+        (["threshold", "--n", str(10**308)], "the roots' Fujiwara bound"),
+        (["rn", "--n", str(10**308)], "the roots' Fujiwara bound"),
     ],
 )
 def test_orders_too_large_to_compute_exit_2_with_one_error_line(argv, message, capsys):
     assert run_cli(argv) == (2, "")
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_orders_whose_root_fits_a_float_compute():
+    # r(n) is about 2n; the roots' bracket is kept in integers until it fits
+    for n, r in [(10**154, "2e+154"), (10**307, "2e+307")]:
+        assert run_cli(["rn", "--n", str(n)]) == (0, f"r_n {r}\n")
+        code, out = run_cli(["threshold", "--n", str(n)])
+        assert code == 0 and f"\nq1_threshold {r}\nr_n {r}\n" in out
 
 
 @pytest.mark.parametrize(

@@ -24,11 +24,9 @@ from slmatch import (
     check_root_bounds,
     check_vertex_shift,
     exhaustive_instances,
-    is_equitable,
     polyval,
     proof_harness,
     q1,
-    quotient_matrix,
     r_l_of_n,
     r_of_n,
     run_proof_suite,
@@ -71,41 +69,32 @@ def test_build_m1_template_entries():
     ]
 
 
-def test_build_m1_equals_computed_quotient():
-    cases = [
-        ProofInstance(1, (3, 1, 1)),
-        ProofInstance(2, (1, 1, 1, 1)),
-        ProofInstance(1, (7, 1, 1)),
-        ProofInstance(3, (5, 3, 1, 1, 1)),
-    ]
+def _even_order_scenarios():
+    return [inst for n in range(4, 21, 2) for inst in exhaustive_instances(n)]
+
+
+def test_build_m1_equals_computed_quotient(exact_quotient):
+    scenarios = _even_order_scenarios()
+    assert len(scenarios) == 441
+    for inst in scenarios:
+        Q = signless_laplacians([inst.graph()])[0]
+        # {S, each component} in the graph's vertex layout
+        classes = np.split(np.arange(inst.n), np.cumsum((inst.s,) + inst.parts[:-1]))
+        assert np.array_equal(exact_quotient(Q, classes), build_m1(inst)), inst
+
+
+def test_build_m3_equals_computed_quotient(exact_quotient):
+    cases = [inst for inst in _even_order_scenarios() if set(inst.parts[1:]) == {1}]
+    assert len(cases) == 165
     for inst in cases:
         Q = signless_laplacians([inst.graph()])[0]
-        assert is_equitable(Q, inst.partition())
-        C = quotient_matrix(Q, inst.partition())
-        assert np.allclose(build_m1(inst), C, atol=1e-12)
-
-
-def _three_class_partition(inst):
-    s, n1 = inst.s, inst.parts[0]
-    return [
-        list(range(s, s + n1)),  # largest component
-        list(range(s)),  # joined clique
-        list(range(s + n1, inst.n)),  # remaining singletons
-    ]
-
-
-def test_build_m3_equals_computed_quotient():
-    cases = [
-        ProofInstance(1, (3, 1, 1)),
-        ProofInstance(1, (7, 1, 1)),
-        ProofInstance(2, (3, 1, 1, 1)),
-        ProofInstance(3, (1, 1, 1, 1, 1)),
-    ]
-    for inst in cases:
-        Q = signless_laplacians([inst.graph()])[0]
-        partition = _three_class_partition(inst)
-        assert is_equitable(Q, partition)
-        assert np.allclose(build_m3(inst), quotient_matrix(Q, partition), atol=1e-12)
+        s, n1 = inst.s, inst.parts[0]
+        classes = [
+            range(s, s + n1),  # largest component
+            range(s),  # joined clique
+            range(s + n1, inst.n),  # remaining singletons
+        ]
+        assert np.array_equal(exact_quotient(Q, classes), build_m3(inst)), inst
 
 
 def test_build_m3_requires_singleton_tail():
@@ -143,13 +132,12 @@ def test_build_m5_reproduces_fixed_sharpness_quotients():
     assert build_m5(3).tolist() == [[9, 5], [3, 3]]
 
 
-def test_build_m5_equals_computed_quotient():
+def test_build_m5_equals_computed_quotient(exact_quotient):
     for s in (1, 2, 3, 4):
         inst = ProofInstance(s, (1,) * (s + 2))
         Q = signless_laplacians([inst.graph()])[0]
-        partition = [list(range(s)), list(range(s, inst.n))]
-        assert is_equitable(Q, partition)
-        assert np.allclose(build_m5(s), quotient_matrix(Q, partition), atol=1e-12)
+        classes = [range(s), range(s, inst.n)]
+        assert np.array_equal(exact_quotient(Q, classes), build_m5(s))
 
 
 def test_r_l_closed_form_is_the_m5_radius():

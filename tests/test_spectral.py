@@ -19,12 +19,10 @@ from slmatch import (
     edge_threshold,
     empty_graph,
     extremal_h,
-    is_equitable,
     join,
     polyval,
     q1,
     q1_threshold,
-    quotient_matrix,
     r_of_n,
     sample_connected,
     signless_laplacians,
@@ -142,12 +140,12 @@ def test_spectral_radius_input_validation():
         spectral_radius(np.zeros((2, 3)))
 
 
-def test_quotient_matrix_join_families():
+def test_quotient_matrix_join_families(exact_quotient):
     Q = signless_laplacians([join(complete_graph(2), empty_graph(4))])[0]
-    C = quotient_matrix(Q, [[0, 1], [2, 3, 4, 5]])
+    C = exact_quotient(Q, [[0, 1], [2, 3, 4, 5]])
     assert C.tolist() == [[6, 4], [2, 2]]
     Q = signless_laplacians([join(complete_graph(3), empty_graph(5))])[0]
-    C = quotient_matrix(Q, [[0, 1, 2], [3, 4, 5, 6, 7]])
+    C = exact_quotient(Q, [[0, 1, 2], [3, 4, 5, 6, 7]])
     assert C.tolist() == [[9, 5], [3, 3]]
 
 
@@ -156,10 +154,10 @@ def _h_partition(n):
     return [list(range(1, n - 2)), [0], [n - 2, n - 1]]
 
 
-def test_quotient_matrix_extremal_family():
+def test_quotient_matrix_extremal_family(exact_quotient):
     for n in (6, 10, 14):
         Q = signless_laplacians([extremal_h(n)])[0]
-        C = quotient_matrix(Q, _h_partition(n))
+        C = exact_quotient(Q, _h_partition(n))
         expected = [
             [2 * n - 7, 1, 0],
             [n - 3, n - 1, 2],
@@ -168,32 +166,13 @@ def test_quotient_matrix_extremal_family():
         assert C.tolist() == expected
 
 
-def test_quotient_matrix_rejects_bad_partitions(path3):
-    Q = signless_laplacians([path3])[0]
-    with pytest.raises(InputError):
-        quotient_matrix(Q, [[0, 1]])  # not covering
-    with pytest.raises(InputError):
-        quotient_matrix(Q, [[0, 1], [1, 2]])  # overlapping
-    with pytest.raises(InputError):
-        quotient_matrix(Q, [[0, 1, 2], []])  # empty class
-
-
-def test_is_equitable(path3):
+def test_is_equitable(path3, exact_quotient):
     Q = signless_laplacians([extremal_h(10)])[0]
-    assert is_equitable(Q, _h_partition(10))
-    assert not is_equitable(signless_laplacians([path3])[0], [[0, 1], [2]])
-    M = np.array([[0.5, 1.25], [1.25, 2.0]])
-    assert is_equitable(M, [[0], [1]])  # singletons are always equitable
+    assert exact_quotient(Q, _h_partition(10)) is not None
+    assert exact_quotient(signless_laplacians([path3])[0], [[0, 1], [2]]) is None
 
 
-@pytest.mark.parametrize("shape", [(2, 3), (2,), (2, 2, 2)])
-def test_partition_functions_share_one_shape_check(shape):
-    for function in (is_equitable, quotient_matrix):
-        with pytest.raises(InputError, match="expected a square matrix"):
-            function(np.zeros(shape), [[0], [1]])
-
-
-def test_equitable_quotient_shares_spectral_radius():
+def test_equitable_quotient_shares_spectral_radius(exact_quotient):
     cases = [
         (join(complete_graph(2), empty_graph(4)), [[0, 1], [2, 3, 4, 5]]),
         (join(complete_graph(3), empty_graph(5)), [[0, 1, 2], [3, 4, 5, 6, 7]]),
@@ -202,8 +181,7 @@ def test_equitable_quotient_shares_spectral_radius():
     ]
     for G, partition in cases:
         Q = signless_laplacians([G])[0]
-        assert is_equitable(Q, partition)
-        C = quotient_matrix(Q, partition)  # similar to the symmetric sqrt(C * C.T)
+        C = exact_quotient(Q, partition)  # similar to the symmetric sqrt(C * C.T)
         assert abs(spectral_radius(np.sqrt(C * C.T)) - spectral_radius(Q)) <= 1e-8
 
 
@@ -270,8 +248,9 @@ def test_char_poly_matches_fraction_determinant(M):
 def test_char_poly_rejects_non_integer_or_non_square_input():
     with pytest.raises(InputError):
         char_poly(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    with pytest.raises(InputError):
-        char_poly(np.zeros((2, 3), dtype=int))
+    for shape in [(2, 3), (2,), (2, 2, 2)]:
+        with pytest.raises(InputError, match="expected a square matrix"):
+            char_poly(np.zeros(shape, dtype=int))
 
 
 def test_polyval_is_exact_on_fractions_and_float_on_floats():

@@ -5,6 +5,20 @@ graph corpora, rebuild the quotient-matrix machinery behind it, and construct
 the extremal graphs that attain the bounds.
 """
 
+import os
+import sys
+
+# One BLAS thread per process: `verify --jobs` worker processes are the only
+# parallelism.  OpenBLAS hands a solve of order about 72 and up to a second
+# thread, which then spin-waits for about 0.1 s instead of sleeping, so the
+# Python work after every such solve burns two CPUs.  The variable is read
+# once, when numpy loads OpenBLAS: a value the user set wins, and after numpy
+# is imported it is left alone.  Pool workers inherit the setting, forked or
+# spawned.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+del os, sys
+
 from .errors import (
     CapacityError,
     Graph6ParseError,

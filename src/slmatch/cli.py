@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write one JSONL record per graph")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (output is the same)")
+    jobs_help = "worker processes, one compute thread each (output is the same)"
+    p.add_argument("--jobs", type=int, default=1, help=jobs_help)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("extremal", help="sharpness row of the threshold-attaining graph")

@@ -70,11 +70,12 @@ def _validate_symmetric_nonnegative(M: np.ndarray) -> np.ndarray:
 
 
 # Symmetric matrices of at least this order go to `_lanczos_top` first.  On
-# a 2-core Xeon (numpy 2.4.6, OpenBLAS), at every order measured from here
-# to 1000, a Lanczos run that gives up plus the `eigvalsh` after it cost at
-# most 1.35x `eigvalsh` alone on a path, comb, random tree or G(n, 8/n) (a
-# cycle passes at once), while a dense G(n, 0.5) cost 0.5x `eigvalsh` at
-# n = 200 and 0.07x at n = 1000.  At n = 150 the worst case was 1.8x.
+# a 2-core Xeon (numpy 2.4.6, OpenBLAS on one thread), at every order
+# measured from here to 1000, a Lanczos run that gives up plus the `eigvalsh`
+# after it cost at most 1.3x `eigvalsh` alone on a path, comb, random tree
+# or G(n, 8/n) (a cycle passes at once), while a dense G(n, 0.5) cost 0.3x
+# to 0.4x `eigvalsh` at n = 200 and 0.05x to 0.06x at n = 1000.  At n = 150
+# the worst case was 1.7x.
 _KRYLOV_MIN_ORDER = 200
 _KRYLOV_STEPS = 40  # products with Q per Lanczos run, one more for the bound
 _KRYLOV_TOL = 1e-13  # hi - theta allowed, relative to max(1, hi)

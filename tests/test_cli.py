@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import slmatch
-from slmatch import empty_graph, encode_graph6, proof_harness, sample_connected, verify
+from slmatch import build_graph, empty_graph, encode_graph6, proof_harness, sample_connected, verify
 from slmatch.cli import main
 from slmatch.spectral import MAX_DENSE_ORDER
 
@@ -161,13 +161,17 @@ def test_verify_graph6_file_keeps_non_ascii_whitespace_in_the_line(tmp_path):
 
 
 def test_verify_parallel_jsonl_is_byte_identical_to_serial(tmp_path):
-    # mixed orders give chunks of unequal cost, which finish out of order
+    # mixed orders give chunks of unequal cost, which finish out of order;
+    # workers certify the dense G(200, 1/2) and G(250, 1/2) by Lanczos, while
+    # on the path of order 200 Lanczos gives up for `eigvalsh`
     rng = random.Random(5)
     lines = [
         encode_graph6(G)
         for n in (4, 6, 8, 10, 16, 24, 40)
         for G in sample_connected(n, 0.6, 40, seed=n)
     ]
+    lines += [encode_graph6(G) for n in (200, 250) for G in sample_connected(n, 0.5, 1, seed=n)]
+    lines.append(encode_graph6(build_graph(200, [(i, i + 1) for i in range(199)])))
     rng.shuffle(lines)
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("\n".join(lines) + "\n")
@@ -177,7 +181,7 @@ def test_verify_parallel_jsonl_is_byte_identical_to_serial(tmp_path):
         code, out = run_cli(
             ["verify", "--graph6-file", str(corpus), "--jobs", jobs, "--out", str(out_path)]
         )
-        assert code == 0 and "checked 280\n" in out
+        assert code == 0 and "checked 283\n" in out
         outputs.append((out, out_path.read_bytes()))
     assert outputs[1] == outputs[0]
 

@@ -1,14 +1,20 @@
 """Signless Laplacian matrices, spectral radii, quotients, and thresholds."""
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import slmatch
 from slmatch import (
     InputError,
     NumericalError,
@@ -460,3 +466,42 @@ def test_krylov_fallback_on_a_path_is_bounded():
     assert 0 < _CountingMatrix.products <= spectral._KRYLOV_STEPS
     assert _CountingMatrix.products <= 8
     assert spectral_radius(Q) == np.linalg.eigvalsh(Q)[-1]
+
+
+_THREAD_PROBE = """
+import json, os
+{imports}
+print(json.dumps([
+    len(os.listdir("/proc/self/task")),
+    os.environ.get("OPENBLAS_NUM_THREADS"),
+    len(os.sched_getaffinity(0)),
+]))
+"""
+
+
+def _fresh_interpreter_threads(imports: str, **env: str):
+    """Run `imports` in a new interpreter whose environment has no
+    OPENBLAS_NUM_THREADS unless given; return its task count, the variable
+    afterwards, and the CPUs it may run on."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    done = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE.format(imports=imports)],
+        env=dict(base, PYTHONPATH=str(Path(slmatch.__file__).parents[1]), **env),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_importing_slmatch_first_runs_blas_on_one_thread():
+    # OpenBLAS starts its threads when numpy loads it: one per CPU unless
+    # OPENBLAS_NUM_THREADS, read at that moment, says otherwise
+    assert _fresh_interpreter_threads("import slmatch")[:2] == [1, "1"]
+    tasks, value, cpus = _fresh_interpreter_threads("import slmatch", OPENBLAS_NUM_THREADS="2")
+    assert value == "2"
+    assert tasks == (2 if cpus >= 2 else 1)
+    # once numpy is loaded the variable could no longer take effect
+    assert _fresh_interpreter_threads("import numpy\nimport slmatch")[1] is None

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 
 from .errors import CapacityError, Graph6ParseError, InputError
 from .graph import Graph, build_graph
+from .spectral import _require_dense_order
 
 HEADER = ">>graph6<<"
 
@@ -170,8 +171,6 @@ def read_edge_list(lines: Iterable[str]) -> Graph:
         n, count = int(head[0]), int(head[1])
     except ValueError as exc:
         raise InputError(f"non-integer header {rows[0]!r}") from exc
-    from .spectral import _require_dense_order
-
     _require_dense_order(n)  # refused before anything of order n is built
     if count != len(rows) - 1:
         raise InputError(f"header announces {count} edges, found {len(rows) - 1}")

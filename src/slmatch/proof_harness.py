@@ -13,7 +13,7 @@ Perron root q1 is the only root of the increasing secular function
 f(x) = x - (n+s-2) - s sum_i n_i / (x - 2 n_i - s + 2) (Golub, SIAM Review
 15, 1973), so q1 > c exactly when c <= d_1 or f(c) < 0.  That integer sign,
 `_q1_exceeds`, decides root bounds, shifts and merges; float radii only
-cross-check the quotient against the full graph and place the first cut.
+cross-check the quotient against the full graph and place the cut.
 
 The three scenario checks share a bounded cache of full-graph q1 keyed on
 the scenario, so a scenario and its shifted or merged neighbours are each
@@ -50,9 +50,6 @@ from .spectral import (
 DEFAULT_SAMPLE_SEED = 20240613
 
 _Q1_MATCH_TOL = 1e-8
-# bisection steps before two equal radii are reported as a failed strict rise;
-# halving (d_1, 2n - 2] around q1 > n - 1 reaches adjacent floats in about 54
-_TIE_STEPS = 64
 _CURVE_FLOOR = Fraction(42843, 10000)
 _CASE_MAX = 100  # the case analysis covers every even n up to here
 # A scenario's shifted and merged neighbours share its order n, so the working
@@ -228,7 +225,11 @@ def _q1_exceeds(inst: ProofInstance, c: int | float) -> bool:
 
 
 def check_root_bounds(inst: ProofInstance) -> PropertyReport:
-    """Template radius equals the graph's q1 and clears its lower bounds."""
+    """Template radius equals the graph's q1 and clears its lower bounds.
+    M1 is an irreducible arrowhead, so q1 exceeds its largest diagonal d_1,
+    and `_q1_exceeds` answers c <= d_1 without f: `exceeds_largest_diag`, and
+    `exceeds_s_row` when n <= 2 n_1, hold by construction; only
+    `exceeds_clique_join` (d_1 + s) and `exceeds_s_row` for n > 2 n_1 test f."""
     _require_dense_order(inst.n)
     M = build_m1(inst)
     # M = S^-1 E for the class sizes S and a symmetric E, so M is similar to
@@ -261,35 +262,22 @@ def check_root_bounds(inst: ProofInstance) -> PropertyReport:
     )
 
 
-def _rises(inst: ProofInstance, moved: ProofInstance, c: float) -> bool:
-    """Exactly whether q1(moved) > q1(inst), by bisecting an interval around
-    q1(inst) from a first cut at c; equal radii give False after _TIE_STEPS."""
-    # (lo, hi] holds q1(inst) throughout, from d_1 and M1's largest row sum
-    lo, hi = 2 * inst.parts[0] + inst.s - 2, 2 * inst.n - 2
-    for _ in range(_TIE_STEPS):
-        lo, hi = (c, hi) if _q1_exceeds(inst, c) else (lo, c)
-        if _q1_exceeds(moved, hi):
-            return True
-        if not _q1_exceeds(moved, lo):
-            return False
-        c = (lo + hi) / 2
-    return False
-
-
 def _check_raises_q1(
     name: str, inst: ProofInstance, moved: ProofInstance | None
 ) -> PropertyReport:
-    """q1 of the moved instance strictly exceeds q1 of inst, first cut at the
-    midpoint of their float q1; skipped when there is nothing to move."""
+    """q1(moved) > q1(inst), proved by the exact q1(inst) <= c < q1(moved)
+    at the midpoint c of their float q1 (a tie, or a cut outside the gap, is
+    FAIL); skipped when there is nothing to move."""
     _require_dense_order(inst.n)
     if moved is None:
         return PropertyReport(name, inst.describe(), passed=True, skipped=True)
     before = _scenario_q1(inst)
     after = _scenario_q1(moved)
+    c = (before + after) / 2
     return PropertyReport(
         name=name,
         subject=f"{inst.describe()} -> parts={list(moved.parts)}",
-        passed=_rises(inst, moved, (before + after) / 2),
+        passed=not _q1_exceeds(inst, c) and _q1_exceeds(moved, c),
         details={"before": before, "after": after},
     )
 

@@ -265,11 +265,32 @@ def test_check_vertex_shift_examples():
         assert report.details["after"] > report.details["before"]
 
 
-def test_rises_decides_from_any_first_cut():
-    """Bisection from a first cut anywhere in (d_1, 2n - 2] decides every
-    shift and merge with n <= 16 exactly, both ways round; the sweep's own
-    first cut (the midpoint of the float radii) never needs it.  Catches a
-    bisection that moves the wrong end or starts outside the root."""
+def _counting_exact_tests(monkeypatch):
+    calls = []
+    real = proof_harness._q1_exceeds
+    monkeypatch.setattr(
+        proof_harness, "_q1_exceeds", lambda inst, c: calls.append(c) or real(inst, c)
+    )
+    return calls
+
+
+def test_equal_radii_fail_at_the_one_cut(monkeypatch):
+    """A scenario moved onto itself does not rise: the cut at its own float
+    q1 cannot lie both at or above q1 and below it, so the check reports
+    FAIL after at most two exact tests.  Catches a tie forgiven as a pass."""
+    calls = _counting_exact_tests(monkeypatch)
+    for inst in (ProofInstance(1, (1, 1, 1)), ProofInstance(2, (5, 3, 1, 1))):
+        calls.clear()
+        report = proof_harness._check_raises_q1("tie", inst, inst)
+        assert report.status == "FAIL"
+        assert 1 <= len(calls) <= 2
+
+
+def test_every_shift_and_merge_is_decided_at_one_cut(monkeypatch):
+    """Every shift and merge with even n <= 16 passes by exactly two exact
+    tests at the midpoint of the float radii, and fails the other way round
+    in at most two.  Catches a cut tested against the wrong scenario or a
+    flipped test."""
     pairs = [
         (inst, moved)
         for inst in SCENARIOS_TO_16
@@ -277,26 +298,33 @@ def test_rises_decides_from_any_first_cut():
         if moved is not None
     ]
     assert len(pairs) == 172
+    calls = _counting_exact_tests(monkeypatch)
     for inst, moved in pairs:
-        for c in (_e1(inst), (_e1(inst) + 2 * inst.n - 2) / 2, 2 * inst.n - 2):
-            assert proof_harness._rises(inst, moved, c)
-            assert not proof_harness._rises(moved, inst, c)
-
-
-def test_equal_radii_fail_within_the_step_cap(monkeypatch):
-    """A scenario moved onto itself neither rises nor falls: every cut costs
-    three exact tests until the cap, then the check reports FAIL.  Catches a
-    tie forgiven as a pass."""
-    calls = []
-    real = proof_harness._q1_exceeds
-    monkeypatch.setattr(
-        proof_harness, "_q1_exceeds", lambda inst, c: calls.append(c) or real(inst, c)
-    )
-    for inst in (ProofInstance(1, (1, 1, 1)), ProofInstance(2, (5, 3, 1, 1))):
         calls.clear()
-        report = proof_harness._check_raises_q1("tie", inst, inst)
-        assert report.status == "FAIL"
-        assert len(calls) == 3 * proof_harness._TIE_STEPS
+        assert proof_harness._check_raises_q1("rise", inst, moved).status == "PASS"
+        assert len(calls) == 2
+        calls.clear()
+        assert proof_harness._check_raises_q1("fall", moved, inst).status == "FAIL"
+        assert len(calls) <= 2
+
+
+@pytest.mark.parametrize(
+    "inst, move",
+    [
+        (ProofInstance(1, (1,) * 999), merged_instance),  # gap 1.2e-5
+        (ProofInstance(1, (3, 3) + (1,) * 993), shifted_instance),  # gap 1.6e-5
+        (ProofInstance(1, (3,) + (1,) * 996), merged_instance),  # gap 2.8e-5
+    ],
+    ids=["merge-singletons", "shift-triangle", "merge-into-triangle"],
+)
+def test_the_narrowest_gaps_at_order_1000_pass(inst, move):
+    """The smallest shift and merge gaps found shrink like 12-16 / n^2; at
+    n = 1000 they still hold the float midpoint strictly inside, about 1e5
+    times the worst error a Lanczos radius is accepted with."""
+    assert inst.n == 1000
+    report = proof_harness._check_raises_q1("rise", inst, move(inst))
+    assert report.status == "PASS"
+    assert report.details["after"] - report.details["before"] > 1e-5
 
 
 def test_check_vertex_shift_skips_without_donor():

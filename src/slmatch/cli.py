@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 = success / no counterexample, 1 = counterexample or property
-violation, 2 = input error (an order too large to compute at included).
+violation, 2 = refused input: any InputError (see errors.py) or OSError.
 Numbers are printed with 12 significant digits so goldens are portable.
 """
 
@@ -12,7 +12,7 @@ import sys
 from collections import Counter
 from typing import IO
 
-from .errors import Graph6ParseError, InputError, NumericalError, SamplingError
+from .errors import InputError
 from .graph import Graph
 from .graph6 import decode_graph6, read_edge_list
 from .proof_harness import (
@@ -24,6 +24,7 @@ from .proof_harness import (
 )
 from .spectral import closed_form_r, edge_threshold, q1, q1_threshold, r_of_n
 from .verify import (
+    JSONL_FIELDS,
     VERDICT_COUNTEREXAMPLE,
     CorpusSummary,
     check_graph,
@@ -34,14 +35,28 @@ from .verify import (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _text(value) -> str:
+    """CLI text: floats to 12 significant digits, lower-case booleans, witness a,b or null."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return "null" if value is None else str(value)
+
+
+def _print_fields(stdout: IO[str], **fields) -> None:
+    for name, value in fields.items():
+        print(f"{name} {_text(value)}", file=stdout)
 
 
 def _load_graph(args) -> Graph:
     if args.graph6 is not None:
         return decode_graph6(args.graph6)
-    with open(args.edges, "r", encoding="utf-8") as handle:
+    # latin-1 maps every byte to one character, so a stray byte reaches the
+    # parser, which refuses it, instead of failing to decode
+    with open(args.edges, "r", encoding="latin-1") as handle:
         return read_edge_list(handle)
 
 
@@ -49,10 +64,6 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph6", help="graph6 line")
     source.add_argument("--edges", help="edge-list file ('n m' header, 'u v' lines)")
-
-
-def _witness_text(witness: tuple[int, ...] | None) -> str:
-    return "null" if witness is None else ",".join(map(str, witness))
 
 
 def _print_summary(summary: CorpusSummary, stdout: IO[str]) -> None:
@@ -70,36 +81,30 @@ def _print_summary(summary: CorpusSummary, stdout: IO[str]) -> None:
 
 
 def _cmd_q1(args, stdout) -> int:
-    print(_fmt(q1(_load_graph(args))), file=stdout)
+    print(_text(q1(_load_graph(args))), file=stdout)
     return 0
 
 
 def _cmd_threshold(args, stdout) -> int:
     n = args.n
     # every value first, so a refused order prints nothing
-    q, r, e = _fmt(q1_threshold(n)), _fmt(r_of_n(n)), edge_threshold(n)
-    print(f"n {n}\nq1_threshold {q}\nr_n {r}\nedge_threshold {e}", file=stdout)
+    q, r, e = q1_threshold(n), r_of_n(n), edge_threshold(n)
+    _print_fields(stdout, n=n, q1_threshold=q, r_n=r, edge_threshold=e)
     return 0
 
 
 def _cmd_rn(args, stdout) -> int:
     # both values first, so a refused order prints nothing
-    r = _fmt(r_of_n(args.n))
-    closed = f"\nclosed_form {_fmt(closed_form_r(args.n))}" if args.closed_form else ""
-    print(f"r_n {r}{closed}", file=stdout)
+    fields = {"r_n": r_of_n(args.n)}
+    if args.closed_form:
+        fields["closed_form"] = closed_form_r(args.n)
+    _print_fields(stdout, **fields)
     return 0
 
 
 def _cmd_check(args, stdout) -> int:
     record = check_graph(_load_graph(args))
-    for name in ("graph6", "n", "edges"):
-        print(f"{name} {getattr(record, name)}", file=stdout)
-    print(f"q1 {_fmt(record.q1)}", file=stdout)
-    print(f"q1_threshold {_fmt(record.q1_threshold)}", file=stdout)
-    print(f"edge_threshold {record.edge_threshold}", file=stdout)
-    print(f"has_pm {str(record.has_pm).lower()}", file=stdout)
-    print(f"verdict {record.verdict}", file=stdout)
-    print(f"witness {_witness_text(record.witness)}", file=stdout)
+    _print_fields(stdout, **{name: getattr(record, name) for name in JSONL_FIELDS})
     if args.out:
         with open(args.out, "w", encoding="utf-8") as sink:
             sink.write(record.to_json() + "\n")
@@ -151,16 +156,11 @@ def _cmd_verify(args, stdout) -> int:
 
 def _cmd_extremal(args, stdout) -> int:
     row = sharpness_row(args.n)
-    record = row.record
-    print(f"n {record.n}", file=stdout)
-    print(f"edges {record.edges}", file=stdout)
-    print(f"q1 {_fmt(record.q1)}", file=stdout)
-    print(f"q1_threshold {_fmt(record.q1_threshold)}", file=stdout)
-    print(f"has_pm {str(record.has_pm).lower()}", file=stdout)
-    print(f"witness {_witness_text(record.witness)}", file=stdout)
-    print(f"sharp {str(row.passed).lower()}", file=stdout)
+    names = ("n", "edges", "q1", "q1_threshold", "has_pm", "witness")
+    fields = {name: getattr(row.record, name) for name in names}
+    _print_fields(stdout, **fields, sharp=row.passed)
     if args.emit_graph6:
-        print(record.graph6, file=stdout)
+        print(row.record.graph6, file=stdout)
     return 0 if row.passed else 1
 
 
@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--all", action="store_true")
     mode.add_argument("--instance", metavar="s,n1,n2,...")
-    p.add_argument("--nmax", type=int, default=12)
+    nmax_help = "order limit for --all (even, >= 4); --instance ignores it"
+    p.add_argument("--nmax", type=int, default=12, help=nmax_help)
     p.set_defaults(func=_cmd_proof_check)
 
     return parser
@@ -260,7 +261,7 @@ def main(argv: list[str] | None = None, stdout: IO[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args, stdout)
-    except (InputError, Graph6ParseError, NumericalError, SamplingError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

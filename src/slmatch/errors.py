@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: each is an InputError (CLI exit 2)."""
 
 
 class InputError(ValueError):
@@ -10,14 +10,14 @@ class CapacityError(InputError):
 
 
 class HypothesisError(InputError):
-    """A graph fails a theorem hypothesis (wrong parity, too small, disconnected)."""
+    """An order or graph fails a theorem hypothesis (odd, too small, disconnected)."""
 
     def __init__(self, reason: str, message: str | None = None):
         super().__init__(message or reason)
         self.reason = reason
 
 
-class Graph6ParseError(ValueError):
+class Graph6ParseError(InputError):
     """A graph6 line is malformed; carries the byte offset of the problem."""
 
     def __init__(self, message: str, offset: int | None = None):
@@ -25,9 +25,9 @@ class Graph6ParseError(ValueError):
         self.offset = offset
 
 
-class NumericalError(RuntimeError):
-    """A numeric routine could not certify its result."""
+class NumericalError(CapacityError):
+    """An order is too large for float arithmetic to certify a result."""
 
 
-class SamplingError(RuntimeError):
+class SamplingError(InputError):
     """Rejection sampling exhausted its attempt budget."""

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InputError, NumericalError
+from .errors import CapacityError, HypothesisError, InputError, NumericalError
 from .graph import Graph
 
 # Largest order whose dense float64 Q fits in 128 MiB (4096^2 entries of 8
@@ -263,12 +263,19 @@ def _split_graph_quadratic(n: int) -> list[int]:
     return [1, -(2 * n - 4), (n // 2 - 1) * (n - 4)]
 
 
+def _order_refusal(n: int) -> str | None:
+    """Why order n is outside the theorem, parity first; None if it is even and >= 4."""
+    if n % 2:
+        return "odd-order"
+    return "order-too-small" if n < 4 else None
+
+
 def _require_even_order(n, name: str = "order") -> int:
     if not isinstance(n, (int, np.integer)):
         raise InputError(f"{name} must be an integer, got {n!r}")
     n = int(n)
-    if n < 4 or n % 2:
-        raise InputError(f"{name} must be an even integer >= 4, got {n}")
+    if reason := _order_refusal(n):
+        raise HypothesisError(reason, f"{name} must be an even integer >= 4, got {n}")
     return n
 
 
@@ -293,14 +300,18 @@ def closed_form_r(n: int) -> float:
 
     The cubic has three real roots, so the radical form necessarily passes
     through complex arithmetic (casus irreducibilis); the imaginary parts must
-    cancel to within 1e-6 or a NumericalError is raised.
+    cancel to within 1e-6, and the discriminant (about -4n^6) fit a float, or
+    a NumericalError is raised.
     """
     n = _require_even_order(n)
     half_q_scale = 9 * n * n - 63 * n + 38  # 27x the depressed cubic's q
     neg_p_scale = 3 * n * n - 21 * n + 49  # -3x the depressed cubic's p
     # with w = n(n-7) this is 27(-4w^3 - 193w^2 - 3176w - 17376), exactly
     disc = (half_q_scale * half_q_scale - 4 * neg_p_scale**3) // 27
-    w = complex(-half_q_scale) + 3.0 * math.sqrt(3.0) * cmath.sqrt(complex(disc))
+    try:
+        w = complex(-half_q_scale) + 3.0 * math.sqrt(3.0) * cmath.sqrt(complex(disc))
+    except OverflowError:  # from about n = 2e51
+        raise NumericalError(f"the discriminant exceeds the float range at n={n}") from None
     croot = w ** (1.0 / 3.0)  # principal branch
     value = (
         n

@@ -30,6 +30,7 @@ from .graph6 import ParseFailure, decode_graph6, encode_graph6, scan_stream
 from .matching import maximum_matching
 from .spectral import (
     MAX_DENSE_ORDER,
+    _order_refusal,
     _require_dense_order,
     _require_even_order,
     edge_threshold,
@@ -153,21 +154,9 @@ def _check_chunk(chunk: list[Graph]) -> list[VerdictRecord]:
     return list(map(_record, chunk, radii))
 
 
-def _order_failure(n: int) -> tuple[str, str] | None:
-    """(reason, message) of the order hypothesis an order-n graph fails,
-    parity first; None for an even order >= 4."""
-    if n % 2:
-        return "odd-order", f"need even order, got {n}"
-    if n < 4:
-        return "order-too-small", f"need n >= 4, got {n}"
-    return None
-
-
 def check_graph(G: Graph) -> VerdictRecord:
     """Evaluate both conditions on one connected graph of even order >= 4."""
-    failure = _order_failure(G.n)
-    if failure is not None:
-        raise HypothesisError(*failure)
+    _require_even_order(G.n)
     if not is_connected(G):
         raise HypothesisError("disconnected", "need a connected graph")
     return _check_chunk([G])[0]
@@ -277,9 +266,8 @@ def run_stream(
                     summary.parse_failures.append(item)
                 continue
             n, line = item
-            failure = _order_failure(n)
-            if failure is not None:
-                summary.skipped[failure[0]] += 1
+            if refusal := _order_refusal(n):
+                summary.skipped[refusal] += 1
             elif n > MAX_DENSE_ORDER:
                 summary.skipped["order-too-large"] += 1
             elif not is_connected(G := decode_graph6(line)):

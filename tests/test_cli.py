@@ -12,7 +12,16 @@ from types import SimpleNamespace
 import pytest
 
 import slmatch
-from slmatch import build_graph, empty_graph, encode_graph6, proof_harness, sample_connected, verify
+from slmatch import (
+    build_graph,
+    complete_graph,
+    empty_graph,
+    encode_graph6,
+    errors,
+    proof_harness,
+    sample_connected,
+    verify,
+)
 from slmatch.cli import main
 from slmatch.spectral import MAX_DENSE_ORDER
 
@@ -430,6 +439,7 @@ def test_single_graph_commands_refuse_a_dense_order_before_building(
         (["rn", "--n", "4000000000", "--closed-form"], "imaginary residue -3.099e-06"),
         (["threshold", "--n", str(10**308)], "the roots' Fujiwara bound"),
         (["rn", "--n", str(10**308)], "the roots' Fujiwara bound"),
+        (["rn", "--n", str(2 * 10**51), "--closed-form"], "the discriminant exceeds the float"),
     ],
 )
 def test_orders_too_large_to_compute_exit_2_with_one_error_line(argv, message, capsys):
@@ -447,11 +457,24 @@ def test_orders_whose_root_fits_a_float_compute():
 
 
 @pytest.mark.parametrize(
-    "argv", [["extremal", "--n", "5"], ["verify", "--random", "5", "--p", "0.5", "--count", "3"]]
+    "argv",
+    [
+        ["extremal", "--n", "5"],
+        ["verify", "--random", "5", "--p", "0.5", "--count", "3"],
+        ["check", "--graph6", encode_graph6(complete_graph(5))],
+    ],
 )
 def test_odd_orders_name_the_one_even_order_rule(argv, capsys):
     assert run_cli(argv) == (2, "")
     assert capsys.readouterr().err == "error: order must be an even integer >= 4, got 5\n"
+
+
+def test_every_library_exception_is_an_input_error():
+    # cli.main answers InputError with exit 2, so this is the whole exit-2 family
+    classes = [c for c in vars(errors).values() if isinstance(c, type)]
+    assert len(classes) == 6
+    assert all(issubclass(c, errors.InputError) for c in classes)
+    assert issubclass(errors.NumericalError, errors.CapacityError)
 
 
 def test_unknown_subcommand_exits_2():
@@ -477,6 +500,14 @@ def test_edge_file_above_the_graph6_order_exits_2(tmp_path, capsys):
     assert run_cli(["q1", "--edges", str(path)]) == (2, "")
     err = capsys.readouterr().err
     assert err == "error: dense Q supports orders up to 4096, got 1000000000000\n"
+
+
+@pytest.mark.parametrize("command", ["q1", "check"])
+def test_edge_file_with_a_non_utf8_byte_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "stray.edges"
+    path.write_bytes(b"3 2\n0 1\n1 \xff\n")
+    assert run_cli([command, "--edges", str(path)]) == (2, "")
+    assert capsys.readouterr().err == "error: non-integer edge line '1 \xff'\n"
 
 
 def _python_m_slmatch(*argv):

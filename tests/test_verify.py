@@ -84,13 +84,15 @@ def test_check_graph_hypothesis_errors():
     for n in (5, 3, 1):
         with pytest.raises(HypothesisError) as err:
             check_graph(complete_graph(n))
-        assert (err.value.reason, str(err.value)) == ("odd-order", f"need even order, got {n}")
+        message = f"order must be an even integer >= 4, got {n}"
+        assert (err.value.reason, str(err.value)) == ("odd-order", message)
     with pytest.raises(HypothesisError) as err:
         check_graph(build_graph(4, [(0, 1), (2, 3)]))
     assert err.value.reason == "disconnected"
     with pytest.raises(HypothesisError) as err:
         check_graph(complete_graph(2))
-    assert err.value.reason == "order-too-small"
+    message = "order must be an even integer >= 4, got 2"
+    assert (err.value.reason, str(err.value)) == ("order-too-small", message)
 
 
 def _mixed_order_stream():

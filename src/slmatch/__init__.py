@@ -64,6 +64,7 @@ from .proof_harness import (
     check_h_bound,
     check_merge_singletons,
     check_root_bounds,
+    check_scenario,
     check_vertex_shift,
     exhaustive_instances,
     run_proof_suite,

@@ -8,6 +8,7 @@ Numbers are printed with 12 significant digits so goldens are portable.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from typing import IO
@@ -17,10 +18,9 @@ from .graph import Graph
 from .graph6 import decode_graph6, read_edge_list
 from .proof_harness import (
     ProofInstance,
-    check_merge_singletons,
-    check_root_bounds,
-    check_vertex_shift,
+    check_scenario,
     run_proof_suite,
+    verify_polynomial_transcriptions,
 )
 from .spectral import closed_form_r, edge_threshold, q1, q1_threshold, r_of_n
 from .verify import (
@@ -58,6 +58,17 @@ def _load_graph(args) -> Graph:
     # parser, which refuses it, instead of failing to decode
     with open(args.edges, "r", encoding="latin-1") as handle:
         return read_edge_list(handle)
+
+
+def _refuse_out_onto_input(out: str | None, source: str | None) -> None:
+    """Refuse an --out that is the input file, or a link to it, before either
+    is opened: writing it would truncate the input while it is being read."""
+    try:
+        same = out and source and os.path.samefile(out, source)
+    except OSError:  # a missing file is reported where the command opens it
+        return
+    if same:
+        raise InputError(f"--out {out} would overwrite the input file {source}")
 
 
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
@@ -103,6 +114,7 @@ def _cmd_rn(args, stdout) -> int:
 
 
 def _cmd_check(args, stdout) -> int:
+    _refuse_out_onto_input(args.out, args.edges)
     record = check_graph(_load_graph(args))
     _print_fields(stdout, **{name: getattr(record, name) for name in JSONL_FIELDS})
     if args.out:
@@ -130,6 +142,7 @@ class _LazySink:
 
 
 def _cmd_verify(args, stdout) -> int:
+    _refuse_out_onto_input(args.out, args.graph6_file)
     sink = _LazySink(args.out) if args.out else None
     try:
         if args.exhaustive is not None:
@@ -176,26 +189,21 @@ def _parse_instance(text: str) -> ProofInstance:
 
 def _cmd_proof_check(args, stdout) -> int:
     if args.instance is not None:
-        inst = _parse_instance(args.instance)
-        reports = [
-            check_root_bounds(inst),
-            check_vertex_shift(inst),
-            check_merge_singletons(inst),
-        ]
+        reports = check_scenario(_parse_instance(args.instance))
         for report in reports:
             print(report, file=stdout)
-        return 1 if any(r.status == "FAIL" for r in reports) else 0
-
-    result = run_proof_suite(nmax=args.nmax)
-    counts = Counter((r.name, r.status) for r in result.reports)
-    for name in sorted({name for name, _ in counts}):
-        passed, skipped, failed = (counts[name, status] for status in ("PASS", "SKIP", "FAIL"))
-        print(f"{name} pass {passed} skip {skipped} fail {failed}", file=stdout)
-    for report in result.failures:
-        print(f"FAIL {report}", file=stdout)
-    for record in result.transcriptions:
-        print(f"transcription {record}", file=stdout)
-    return 0 if result.passed else 1
+    else:
+        reports = run_proof_suite(nmax=args.nmax)
+        counts = Counter((r.name, r.status) for r in reports)
+        for name in sorted({name for name, _ in counts}):
+            passed, skipped, failed = (counts[name, s] for s in ("PASS", "SKIP", "FAIL"))
+            print(f"{name} pass {passed} skip {skipped} fail {failed}", file=stdout)
+        for report in reports:
+            if report.status == "FAIL":
+                print(f"FAIL {report}", file=stdout)
+        for record in verify_polynomial_transcriptions():
+            print(f"transcription {record}", file=stdout)
+    return 1 if any(r.status == "FAIL" for r in reports) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

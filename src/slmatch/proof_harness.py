@@ -156,10 +156,7 @@ def build_m4(n: int, s: int) -> np.ndarray:
     """The 3x3 template at the extreme component count k = s+2."""
     if not (isinstance(s, int) and s >= 1):
         raise InputError(f"s must be a positive integer, got {s!r}")
-    n1 = n - 2 * s - 1
-    if n1 < 1 or n1 % 2 == 0:
-        raise InputError(f"n={n}, s={s} leaves no odd largest component")
-    return build_m3(ProofInstance(s, (n1,) + (1,) * (s + 1)))
+    return build_m3(ProofInstance(s, (n - 2 * s - 1,) + (1,) * (s + 1)))
 
 
 def build_m5(s: int) -> np.ndarray:
@@ -290,6 +287,12 @@ def check_vertex_shift(inst: ProofInstance) -> PropertyReport:
 def check_merge_singletons(inst: ProofInstance) -> PropertyReport:
     """Absorbing two singleton components strictly raises q1."""
     return _check_raises_q1("merge-singletons", inst, merged_instance(inst))
+
+
+def check_scenario(inst: ProofInstance) -> list[PropertyReport]:
+    """The root-bound, vertex-shift and merge checks of one scenario, in that
+    order."""
+    return [check_root_bounds(inst), check_vertex_shift(inst), check_merge_singletons(inst)]
 
 
 def _convex_at_root_at_least(p: list[int], r: float, floor: Fraction | int) -> bool:
@@ -511,26 +514,10 @@ def sample_instances(
     return out
 
 
-@dataclass
-class ProofSuiteResult:
-    """Aggregated outcome of the full proof-step sweep."""
-
-    reports: list[PropertyReport]
-    transcriptions: list[TranscriptionRecord]
-
-    @property
-    def failures(self) -> list[PropertyReport]:
-        return [r for r in self.reports if r.status == "FAIL"]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def run_proof_suite(nmax: int = 12) -> ProofSuiteResult:
+def run_proof_suite(nmax: int = 12) -> list[PropertyReport]:
     """Exhaustive scenarios up to min(nmax, 12), sample_instances' 200 seeded
-    scenarios beyond, the h-bound grid, the case analysis up to _CASE_MAX,
-    and the transcription cross-checks.  nmax must be an even integer >= 4."""
+    scenarios beyond, the h-bound grid and the case analysis up to _CASE_MAX.
+    nmax must be an even integer >= 4."""
     nmax = _require_even_order(nmax, name="nmax")
     reports: list[PropertyReport] = []
     instances: list[ProofInstance] = []
@@ -539,12 +526,10 @@ def run_proof_suite(nmax: int = 12) -> ProofSuiteResult:
     if nmax >= 14:
         instances.extend(sample_instances(n_max=min(nmax, 40)))
     for inst in instances:
-        reports.append(check_root_bounds(inst))
-        reports.append(check_vertex_shift(inst))
-        reports.append(check_merge_singletons(inst))
+        reports.extend(check_scenario(inst))
     for n in range(6, max(12, min(nmax, 40)) + 1, 2):
         for s in range(1, (n - 4) // 2 + 1):
             reports.append(check_h_bound(n, s))
     for n in range(4, _CASE_MAX + 1, 2):
         reports.append(check_case_analysis(n))
-    return ProofSuiteResult(reports, verify_polynomial_transcriptions())
+    return reports

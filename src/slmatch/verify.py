@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import IO, Iterable, Iterator
 
-from .errors import HypothesisError, InputError
+from .errors import CapacityError, HypothesisError, InputError
 from .generate import all_connected, connected_graph_count, sample_connected
 from .graph import Graph, is_connected, proof_graph
 from .graph6 import ParseFailure, decode_graph6, encode_graph6, scan_stream
@@ -240,8 +240,10 @@ def run_exhaustive(n: int, out: IO[str] | None = None, jobs: int = 1) -> CorpusS
     The number of graphs seen is validated against the independent
     inclusion-exclusion count.
     """
-    if n not in (4, 6):
-        raise InputError(f"exhaustive verification supports n in {{4, 6}}, got {n}")
+    # an even order above 6 is refused before its count, whose recurrence
+    # would run for a long time at a large n
+    if (n := _require_even_order(n)) > 6:
+        raise CapacityError(f"exhaustive verification supports n in {{4, 6}}, got {n}")
     summary = CorpusSummary(expected_count=connected_graph_count(n))
     _absorb_all(_iter_records(all_connected(n), jobs), summary, out)
     return summary

@@ -139,6 +139,25 @@ def test_refused_verify_leaves_the_out_file_as_it_was(argv, tmp_path, capsys):
     assert out_path.read_bytes() == b"keep\n"
 
 
+@pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+@pytest.mark.parametrize(
+    "command, source, text",
+    [("verify", "--graph6-file", "C~\nC~\n"), ("check", "--edges", "4 3\n0 1\n1 2\n2 3\n")],
+    ids=["verify", "check"],
+)
+def test_an_out_that_is_the_input_file_is_refused(command, source, text, link, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_text(text)
+    out_path = path
+    if link:
+        out_path = tmp_path / "link"
+        out_path.symlink_to(path)
+    assert run_cli([command, source, str(path), "--out", str(out_path)]) == (2, "")
+    err = capsys.readouterr().err
+    assert err == f"error: --out {out_path} would overwrite the input file {path}\n"
+    assert path.read_text() == text
+
+
 def test_verify_with_no_records_still_writes_an_empty_out_file(tmp_path):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("Bw\n")
@@ -337,6 +356,30 @@ def test_proof_check_all_small():
     assert "transcription m4_cubic" in out
 
 
+def _perturb_scenario_q1(monkeypatch):
+    """Scale every full-graph q1 by 1 + 1e-6, outside the 1e-8 quotient match."""
+    real_q1 = proof_harness.q1
+    monkeypatch.setattr(proof_harness, "q1", lambda G: real_q1(G) * (1 + 1e-6))
+    proof_harness._scenario_q1.cache_clear()
+
+
+def test_proof_check_instance_exits_1_on_a_failed_check(monkeypatch):
+    _perturb_scenario_q1(monkeypatch)
+    code, out = run_cli(["proof-check", "--instance", "1,3,1,1"])
+    assert code == 1
+    assert out.startswith("root-bounds s=1 parts=[3, 1, 1] (n=6): FAIL\n")
+
+
+def test_proof_check_all_exits_1_on_a_failed_check(monkeypatch):
+    _perturb_scenario_q1(monkeypatch)
+    code, out = run_cli(["proof-check", "--all", "--nmax", "6"])
+    assert code == 1
+    tally = next(line for line in out.splitlines() if line.startswith("root-bounds pass"))
+    assert int(tally.split()[-1]) > 0
+    assert "\nFAIL root-bounds s=" in out
+    assert "transcription m4_cubic at n=6 s=1: agrees (exact)\n" in out
+
+
 def test_proof_check_text_ignores_rounding_noise(monkeypatch):
     argv = ["proof-check", "--all", "--nmax", "8"]
     code, before = run_cli(argv)
@@ -462,6 +505,7 @@ def test_orders_whose_root_fits_a_float_compute():
         ["extremal", "--n", "5"],
         ["verify", "--random", "5", "--p", "0.5", "--count", "3"],
         ["check", "--graph6", encode_graph6(complete_graph(5))],
+        ["verify", "--exhaustive", "5"],
     ],
 )
 def test_odd_orders_name_the_one_even_order_rule(argv, capsys):

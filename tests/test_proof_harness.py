@@ -22,6 +22,7 @@ from slmatch import (
     check_h_bound,
     check_merge_singletons,
     check_root_bounds,
+    check_scenario,
     check_vertex_shift,
     exhaustive_instances,
     polyval,
@@ -456,11 +457,19 @@ def test_sample_instances_deterministic_and_valid():
 
 
 def test_run_proof_suite_small():
-    result = run_proof_suite(nmax=8)
-    assert result.passed
-    assert not result.failures
-    names = {r.polynomial for r in result.transcriptions}
+    reports = run_proof_suite(nmax=8)
+    assert reports and not [r for r in reports if r.status == "FAIL"]
+    names = {r.polynomial for r in verify_polynomial_transcriptions()}
     assert "m4_cubic" in names and "m1_expansion_alternating" in names
+
+
+def test_check_scenario_runs_the_three_scenario_checks_in_order():
+    for inst in (ProofInstance(1, (3, 1, 1)), ProofInstance(1, (3, 3, 1, 1, 1))):
+        reports = check_scenario(inst)
+        assert [r.name for r in reports] == ["root-bounds", "vertex-shift", "merge-singletons"]
+        assert reports == [
+            check_root_bounds(inst), check_vertex_shift(inst), check_merge_singletons(inst)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Exhaustive and seeded-random generation of labelled connected graphs.
 
 Edge masks index vertex pairs in the same column-major order as the graph6
-codec, so any mask can be reported back as a graph6 line for reproduction.
+codec, so any mask can be reported back as a graph6 line for reproduction:
+exhaustive enumeration takes each graph's line from the bits of its mask.
 """
 
 from __future__ import annotations
@@ -11,29 +12,30 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator
 
+import numpy as np
+
 from .errors import CapacityError, InputError, SamplingError
-from .graph import Graph, component_masks, is_connected
-from .graph6 import edge_bits, pair_index_order
+from .graph import Graph, is_connected
+from .graph6 import _graph6_lines, edge_bits, pair_index_order
 
 _MAX_EXHAUSTIVE = 7
+
+# masks enumerated per numpy block; larger blocks raise peak memory
+_BLOCK_MASKS = 1024
 
 _REJECTION_CAP = 10_000
 
 
-def _mask_adjacency(n: int, pairs: list[tuple[int, int]], mask: int) -> tuple[int, ...]:
-    """Adjacency masks with pairs[k] an edge iff bit k of mask is set, in
-    time linear in the pair count: bin() reversed lists bit k at index k."""
+def edge_mask_to_graph(n: int, mask: int) -> Graph:
+    """Graph whose k-th pair (graph6 order) is an edge iff bit k of mask is
+    set, in time linear in the pair count: bin() reversed lists bit k at
+    index k."""
     adj = [0] * n
-    for (i, j), bit in zip(pairs, bin(mask)[:1:-1]):
+    for (i, j), bit in zip(pair_index_order(n), bin(mask)[:1:-1]):
         if bit == "1":
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    return tuple(adj)
-
-
-def edge_mask_to_graph(n: int, mask: int) -> Graph:
-    """Graph whose k-th pair (graph6 order) is an edge iff bit k of mask is set."""
-    return Graph(n, _mask_adjacency(n, pair_index_order(n), mask))
+    return Graph(n, tuple(adj))
 
 
 def graph_to_edge_mask(G: Graph) -> int:
@@ -41,8 +43,9 @@ def graph_to_edge_mask(G: Graph) -> int:
     return int("0" + edge_bits(G)[::-1], 2)
 
 
-def all_connected(n: int) -> Iterator[Graph]:
-    """Every labelled connected graph on n vertices, in increasing mask order.
+def _connected_with_graph6(n: int) -> Iterator[tuple[Graph, str]]:
+    """(graph, graph6 line) of every labelled connected graph on n vertices,
+    in increasing mask order, from blocks of _BLOCK_MASKS masks.
 
     2^C(n,2) masks are scanned, so n is capped at 7.
     """
@@ -53,12 +56,34 @@ def all_connected(n: int) -> Iterator[Graph]:
             f"exhaustive enumeration is limited to n <= {_MAX_EXHAUSTIVE}, got {n}"
         )
     pairs = pair_index_order(n)
-    full = (1 << n) - 1
-    for mask in range(1 << len(pairs)):
-        adj = _mask_adjacency(n, pairs, mask)
-        # the first component found is the one holding vertex 0
-        if next(component_masks(adj, full)) == full:
-            yield Graph(n, adj)
+    # a block's adjacency masks are its pair bits @ weights: pair k = (i, j)
+    # adds vertex j to the mask of i and vertex i to the mask of j
+    weights = np.zeros((len(pairs), n), dtype=np.int64)
+    for k, (i, j) in enumerate(pairs):
+        weights[k, i] = 1 << j
+        weights[k, j] = 1 << i
+    shifts = np.arange(len(pairs), dtype=np.int64)
+    total = 1 << len(pairs)
+    for start in range(0, total, _BLOCK_MASKS):
+        masks = np.arange(start, min(start + _BLOCK_MASKS, total), dtype=np.int64)
+        bits = (masks[:, None] >> shifts) & 1
+        adj = bits @ weights
+        # the vertices reachable from vertex 0: n - 1 rounds reach them all
+        reach = np.ones(len(masks), dtype=np.int64)
+        for _ in range(n - 1):
+            for v in range(n):
+                reach |= adj[:, v] * ((reach >> v) & 1)
+        connected = reach == (1 << n) - 1
+        lines = _graph6_lines(n, bits[connected])
+        for row, line in zip(adj[connected].tolist(), lines):
+            yield Graph(n, tuple(row)), line
+
+
+def all_connected(n: int) -> Iterator[Graph]:
+    """Every labelled connected graph on n vertices (n <= 7), in increasing
+    mask order."""
+    for G, _ in _connected_with_graph6(n):
+        yield G
 
 
 @lru_cache(maxsize=None)

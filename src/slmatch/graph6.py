@@ -14,6 +14,8 @@ import base64
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import CapacityError, Graph6ParseError, InputError
 from .graph import Graph, build_graph
 from .spectral import _require_dense_order
@@ -32,6 +34,9 @@ _GRAPH6_BYTES = bytes(range(63, 127))
 _BASE64_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_GRAPH6 = bytes.maketrans(_BASE64_BYTES, _GRAPH6_BYTES)
 _FROM_GRAPH6 = bytes.maketrans(_GRAPH6_BYTES, _BASE64_BYTES)
+# base64 writes each 24-bit group as four digits, so bodies padded to whole
+# groups come out of one b64encode call side by side
+_GROUP_BITS = 24
 
 
 def pair_index_order(n: int) -> list[tuple[int, int]]:
@@ -48,23 +53,40 @@ def edge_bits(G: Graph) -> str:
     return "".join([bin(masks[j] & ((1 << j) - 1) | (1 << j))[:2:-1] for j in range(1, G.n)])
 
 
-def encode_graph6(G: Graph) -> str:
-    """Canonical graph6 line for G (no header)."""
-    n = G.n
+def _order_prefix(n: int) -> str:
     if n > _MAX_ORDER:
         raise CapacityError(f"graph6 supports at most {_MAX_ORDER} vertices, got {n}")
     if n <= 62:
-        prefix = chr(63 + n)
-    else:
-        prefix = "~" + "".join(chr(63 + ((n >> k) & 63)) for k in (12, 6, 0))
+        return chr(63 + n)
+    return "~" + "".join(chr(63 + ((n >> k) & 63)) for k in (12, 6, 0))
 
+
+def _lines(prefix: str, raw: bytes, nbits: int, count: int) -> list[str]:
+    """graph6 lines of `count` graphs with order field `prefix`, from each
+    one's `nbits` pair bits in `raw`, zero-padded to whole 24-bit groups."""
+    text = base64.b64encode(raw).translate(_TO_GRAPH6).decode("ascii")
+    width = 4 * (-(-nbits // _GROUP_BITS))
+    keep = (nbits + 5) // 6
+    return [prefix + text[k * width : k * width + keep] for k in range(count)]
+
+
+def encode_graph6(G: Graph) -> str:
+    """Canonical graph6 line for G (no header)."""
+    prefix = _order_prefix(G.n)
     bits = edge_bits(G)
-    # base64 packs whole 24-bit groups; the zero padding past the last
-    # graph6 byte is cut off, and the leading "0" keeps n < 2 parseable
-    pad = -len(bits) % 24
+    # the leading "0" keeps n < 2 parseable
+    pad = -len(bits) % _GROUP_BITS
     raw = int("0" + bits + "0" * pad, 2).to_bytes((len(bits) + pad) // 8, "big")
-    body = base64.b64encode(raw)[: (len(bits) + 5) // 6].translate(_TO_GRAPH6)
-    return prefix + body.decode("ascii")
+    return _lines(prefix, raw, len(bits), 1)[0]
+
+
+def _graph6_lines(n: int, bits: np.ndarray) -> list[str]:
+    """Canonical graph6 lines of order-n graphs, one per row of `bits`, a
+    0/1 matrix of the pair bits in pair_index_order."""
+    prefix = _order_prefix(n)
+    pad = -bits.shape[1] % _GROUP_BITS
+    raw = np.packbits(np.pad(bits, ((0, 0), (0, pad))), axis=1).tobytes()
+    return _lines(prefix, raw, bits.shape[1], len(bits))
 
 
 def _parse_header(line: str) -> tuple[int, int]:
@@ -134,9 +156,19 @@ class ParseFailure:
     message: str
 
 
+def _clear_padding(line: str, n: int) -> str:
+    """A well-formed order-n line with the padding bits of its last byte
+    cleared: the line encode_graph6 gives for the graph it decodes to."""
+    padding = (1 << (-(n * (n - 1) // 2) % 6)) - 1
+    last = ord(line[-1]) - 63
+    return line[:-1] + chr(63 + (last & ~padding)) if last & padding else line
+
+
 def scan_stream(lines: Iterable[str]) -> Iterator[tuple[int, str] | ParseFailure]:
-    """Check a graph6 stream without decoding it: (order, line) for each
-    well-formed line, ParseFailure for each bad one, in stream order.
+    """Check a graph6 stream without decoding it: (order, canonical line)
+    for each well-formed line, ParseFailure for each bad one, in stream
+    order.  A line is made canonical by clearing its padding bits, which
+    decode_graph6 ignores.
 
     An optional '>>graph6<<' header and blank lines are skipped.
     """
@@ -149,7 +181,8 @@ def scan_stream(lines: Iterable[str]) -> Iterator[tuple[int, str] | ParseFailure
             if not text:
                 continue
         try:
-            yield _parse_header(text)[0], text
+            n = _parse_header(text)[0]
+            yield n, _clear_padding(text, n)
         except Graph6ParseError as exc:
             yield ParseFailure(number, exc.offset, str(exc))
 

@@ -156,7 +156,10 @@ def build_m4(n: int, s: int) -> np.ndarray:
     """The 3x3 template at the extreme component count k = s+2."""
     if not (isinstance(s, int) and s >= 1):
         raise InputError(f"s must be a positive integer, got {s!r}")
-    return build_m3(ProofInstance(s, (n - 2 * s - 1,) + (1,) * (s + 1)))
+    # refused before the s + 1 singleton parts are built
+    if (n1 := n - 2 * s - 1) < 1:
+        raise InputError(f"component orders must be odd positives, got {n1!r}")
+    return build_m3(ProofInstance(s, (n1,) + (1,) * (s + 1)))
 
 
 def build_m5(s: int) -> np.ndarray:

@@ -7,9 +7,11 @@ Graphs sitting within EPSILON of the threshold get the separate "boundary"
 verdict: the extremal constructions attain the threshold exactly, so a strict
 floating-point comparison there would be meaningless.
 
-Sweeps cut their graphs into same-order chunks (`_chunks`), one stacked
-eigensolver call each, and skip the hypothesis checks of `check_graph`:
-every sweep source yields only connected graphs of even order >= 4.
+Sweeps cut their items, each a graph and the graph6 line its source already
+holds (None for a random sample), into same-order chunks (`_chunks`), one
+stacked eigensolver call each, and skip the hypothesis checks of
+`check_graph`: every sweep source yields only connected graphs of even
+order >= 4.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import chain
 from typing import IO, Iterable, Iterator
 
 from .errors import CapacityError, HypothesisError, InputError
-from .generate import all_connected, connected_graph_count, sample_connected
+from .generate import _connected_with_graph6, connected_graph_count, sample_connected
 from .graph import Graph, is_connected, proof_graph
 from .graph6 import ParseFailure, decode_graph6, encode_graph6, scan_stream
 from .matching import maximum_matching
@@ -107,22 +109,28 @@ class VerdictRecord:
 _BATCH_ENTRIES = 1 << 14
 
 
-def _chunks(graphs: Iterable[Graph]) -> Iterator[list[Graph]]:
-    """Runs of consecutive graphs of one order with sum(n^2) <=
-    _BATCH_ENTRIES, or one graph: each is one stacked eigensolver call."""
-    chunk: list[Graph] = []
+# a sweep item: a graph and its graph6 line, or None to encode it
+_Item = tuple[Graph, str | None]
+
+
+def _chunks(items: Iterable[_Item]) -> Iterator[list[_Item]]:
+    """Runs of consecutive items of one order with sum(n^2) <=
+    _BATCH_ENTRIES, or one item: each is one stacked eigensolver call."""
+    chunk: list[_Item] = []
     entries = 0
-    for G in graphs:
-        if chunk and (G.n != chunk[0].n or entries + G.n * G.n > _BATCH_ENTRIES):
+    for item in items:
+        n = item[0].n
+        if chunk and (n != chunk[0][0].n or entries + n * n > _BATCH_ENTRIES):
             yield chunk
             chunk, entries = [], 0
-        chunk.append(G)
-        entries += G.n * G.n
+        chunk.append(item)
+        entries += n * n
     if chunk:
         yield chunk
 
 
-def _record(G: Graph, radius: float) -> VerdictRecord:
+def _record(item: _Item, radius: float) -> VerdictRecord:
+    G, line = item
     n = G.n
     threshold = q1_threshold(n)
     matching = maximum_matching(G)
@@ -136,7 +144,7 @@ def _record(G: Graph, radius: float) -> VerdictRecord:
         verdict = VERDICT_HYPOTHESIS
 
     return VerdictRecord(
-        graph6=encode_graph6(G),
+        graph6=encode_graph6(G) if line is None else line,
         n=n,
         edges=G.edge_count,
         q1=radius,
@@ -148,9 +156,9 @@ def _record(G: Graph, radius: float) -> VerdictRecord:
     )
 
 
-def _check_chunk(chunk: list[Graph]) -> list[VerdictRecord]:
+def _check_chunk(chunk: list[_Item]) -> list[VerdictRecord]:
     """Records of one `_chunks` chunk, whose graphs meet the hypotheses."""
-    radii = spectral_radius(signless_laplacians(chunk)).tolist()
+    radii = spectral_radius(signless_laplacians([G for G, _ in chunk])).tolist()
     return list(map(_record, chunk, radii))
 
 
@@ -159,7 +167,7 @@ def check_graph(G: Graph) -> VerdictRecord:
     _require_even_order(G.n)
     if not is_connected(G):
         raise HypothesisError("disconnected", "need a connected graph")
-    return _check_chunk([G])[0]
+    return _check_chunk([(G, None)])[0]
 
 
 # Parse failures a stream summary keeps; skipped["parse-error"] counts them all.
@@ -202,20 +210,20 @@ class CorpusSummary:
 _CHUNKS_IN_FLIGHT_PER_JOB = 4
 
 
-def _iter_records(graphs: Iterable[Graph], jobs: int) -> Iterator[VerdictRecord]:
-    """Records of graphs that meet the hypotheses, in input order."""
+def _iter_records(items: Iterable[_Item], jobs: int) -> Iterator[VerdictRecord]:
+    """Records of items whose graphs meet the hypotheses, in input order."""
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
     # more workers than CPUs only add processes, never speed
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
-        yield from chain.from_iterable(map(_check_chunk, _chunks(graphs)))
+        yield from chain.from_iterable(map(_check_chunk, _chunks(items)))
         return
     # leaving the with block early (the consumer stopped, or a worker's error
     # was raised again by get) terminates the pool
     with multiprocessing.Pool(workers) as pool:
         pending: deque = deque()
-        for chunk in _chunks(graphs):
+        for chunk in _chunks(items):
             pending.append(pool.apply_async(_check_chunk, (chunk,)))
             if len(pending) == _CHUNKS_IN_FLIGHT_PER_JOB * workers:
                 yield from pending.popleft().get()
@@ -245,7 +253,7 @@ def run_exhaustive(n: int, out: IO[str] | None = None, jobs: int = 1) -> CorpusS
     if (n := _require_even_order(n)) > 6:
         raise CapacityError(f"exhaustive verification supports n in {{4, 6}}, got {n}")
     summary = CorpusSummary(expected_count=connected_graph_count(n))
-    _absorb_all(_iter_records(all_connected(n), jobs), summary, out)
+    _absorb_all(_iter_records(_connected_with_graph6(n), jobs), summary, out)
     return summary
 
 
@@ -258,7 +266,7 @@ def run_stream(
     """
     summary = CorpusSummary()
 
-    def eligible() -> Iterator[Graph]:
+    def eligible() -> Iterator[_Item]:
         # the order is read from each line's header, so only lines that pass
         # the order checks are decoded
         for item in scan_stream(lines):
@@ -275,7 +283,7 @@ def run_stream(
             elif not is_connected(G := decode_graph6(line)):
                 summary.skipped["disconnected"] += 1
             else:
-                yield G
+                yield G, line
 
     _absorb_all(_iter_records(eligible(), jobs), summary, out)
     return summary
@@ -293,7 +301,8 @@ def run_random(
     # before drawing the n(n-1)/2 pairs of each sample
     _require_dense_order(_require_even_order(n))
     summary = CorpusSummary(expected_count=count)
-    _absorb_all(_iter_records(sample_connected(n, p, count, seed), jobs), summary, out)
+    samples = ((G, None) for G in sample_connected(n, p, count, seed))
+    _absorb_all(_iter_records(samples, jobs), summary, out)
     return summary
 
 

@@ -15,8 +15,12 @@ from slmatch import (
     is_connected,
     sample_connected,
 )
-from slmatch.generate import edge_mask_to_graph, graph_to_edge_mask
-from slmatch.graph6 import pair_index_order
+from slmatch.generate import (
+    _connected_with_graph6,
+    edge_mask_to_graph,
+    graph_to_edge_mask,
+)
+from slmatch.graph6 import encode_graph6, pair_index_order
 
 
 def _per_pair_graph(n, mask):
@@ -93,6 +97,20 @@ def test_enumeration_matches_filtered_per_pair_reference():
         graphs = (_per_pair_graph(n, m) for m in range(1 << (n * (n - 1) // 2)))
         expected = [G for G in graphs if is_connected(G)]
         assert list(all_connected(n)) == expected
+
+
+def test_block_enumeration_matches_the_scalar_mask_path():
+    for n in range(1, 7):
+        graphs = (edge_mask_to_graph(n, m) for m in range(1 << (n * (n - 1) // 2)))
+        expected = [G for G in graphs if is_connected(G)]
+        assert list(all_connected(n)) == expected
+        pairs = list(_connected_with_graph6(n))
+        assert [G for G, _ in pairs] == expected
+        assert [line for _, line in pairs] == [encode_graph6(G) for G in expected]
+
+
+def test_block_enumeration_count_n7():
+    assert sum(1 for _ in all_connected(7)) == connected_graph_count(7) == 1866256
 
 
 def test_edge_mask_bit_zero_is_first_pair():

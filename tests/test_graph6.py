@@ -188,6 +188,33 @@ def test_scan_stream_strips_only_ascii_whitespace():
     assert [item.offset for item in items[1:]] == [0, 2, 0]
 
 
+def _with_padding_bits(line, n, value):
+    """`line` with the padding bits of its last byte set to `value`."""
+    pad = -(n * (n - 1) // 2) % 6
+    assert 0 <= value < 1 << pad
+    return line[:-1] + chr(63 + ((ord(line[-1]) - 63) | value))
+
+
+@pytest.mark.parametrize("n", [5, 6, 250])  # 2, 3 and 3 padding bits
+def test_scan_stream_clears_padding_bits(n):
+    lines, canonical = [], []
+    for seed, value in enumerate((1, 2, 3)):
+        G = edge_mask_to_graph(n, random.Random(seed).getrandbits(n * (n - 1) // 2))
+        noisy = _with_padding_bits(encode_graph6(G), n, value)
+        assert noisy != encode_graph6(G) and decode_graph6(noisy) == G
+        lines.append(noisy)
+        canonical.append(encode_graph6(decode_graph6(noisy)))
+    assert list(scan_stream(lines)) == [(n, line) for line in canonical]
+
+
+@given(_graphs_up_to_130(), st.integers(0, 31))
+@settings(max_examples=200, deadline=None)
+def test_scan_stream_line_is_the_encoding_of_its_graph(G, noise):
+    pad = -(G.n * (G.n - 1) // 2) % 6
+    line = _with_padding_bits(encode_graph6(G), G.n, noise % (1 << pad))
+    assert list(scan_stream([line])) == [(G.n, encode_graph6(decode_graph6(line)))]
+
+
 def test_read_edge_list():
     text = ["3 2", "0 1", " 1  2 "]
     assert read_edge_list(text) == build_graph(3, [(0, 1), (1, 2)])

@@ -128,6 +128,12 @@ def test_build_m4_validation():
         build_m4(7, 1)  # odd total leaves an even component
 
 
+def test_build_m4_refuses_an_impossible_s_before_building_it():
+    # s + 1 singleton parts would not fit in memory
+    with pytest.raises(InputError, match="component orders must be odd positives"):
+        build_m4(6, 10**18)
+
+
 def test_build_m5_reproduces_fixed_sharpness_quotients():
     assert build_m5(2).tolist() == [[6, 4], [2, 2]]
     assert build_m5(3).tolist() == [[9, 5], [3, 3]]

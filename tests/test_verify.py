@@ -139,11 +139,11 @@ def test_batched_records_match_per_graph():
     ],
 )
 def test_chunks_are_same_order_runs_within_the_batch_bound(orders, sizes):
-    graphs = [complete_graph(n) for n in orders]
-    chunks = list(_chunks(graphs))
+    items = [(complete_graph(n), None) for n in orders]
+    chunks = list(_chunks(items))
     assert [len(chunk) for chunk in chunks] == sizes
-    assert all(len({G.n for G in chunk}) == 1 for chunk in chunks)
-    assert [G for chunk in chunks for G in chunk] == graphs
+    assert all(len({G.n for G, _ in chunk}) == 1 for chunk in chunks)
+    assert [item for chunk in chunks for item in chunk] == items
 
 
 def test_each_sweep_checks_connectivity_once(monkeypatch):
@@ -298,13 +298,17 @@ def test_jsonl_field_order_and_types():
     payload = json.loads(check_graph(complete_graph(4)).to_json())
     assert payload["witness"] is None
     assert isinstance(payload["edge_threshold"], int)
-    sink = io.StringIO()
-    run_exhaustive(4, out=sink)
-    records = [check_graph(G) for G in all_connected(4)]
-    assert len(records) == 38
-    assert sink.getvalue() == "".join(r.to_json() + "\n" for r in records)
-    for record in records:
-        assert record.to_json() == json.dumps(record.to_dict())
+    # a sweep's records, serial or pooled, are check_graph's records
+    for n, count in ((4, 38), (6, 26704)):
+        records = [check_graph(G) for G in all_connected(n)]
+        assert len(records) == count
+        text = "".join(r.to_json() + "\n" for r in records)
+        for jobs in (1, 2):
+            sink = io.StringIO()
+            run_exhaustive(n, out=sink, jobs=jobs)
+            assert sink.getvalue() == text, (n, jobs)
+        for record in records:
+            assert record.to_json() == json.dumps(record.to_dict())
 
 
 def test_records_above_the_krylov_order_carry_python_floats():
@@ -313,7 +317,8 @@ def test_records_above_the_krylov_order_carry_python_floats():
     n = _KRYLOV_MIN_ORDER + _KRYLOV_MIN_ORDER % 2
     dense = next(sample_connected(n, 0.5, 1, seed=3))
     path = build_graph(n, [(i, i + 1) for i in range(n - 1)])
-    for record in _check_chunk([dense, path]) + [check_graph(dense), check_graph(path)]:
+    chunk = [(dense, None), (path, None)]
+    for record in _check_chunk(chunk) + [check_graph(dense), check_graph(path)]:
         assert type(record.q1) is float
         payload = json.loads(record.to_json())
         assert payload["q1"] == record.q1
@@ -393,6 +398,28 @@ def test_run_stream_mixed_input():
     assert boundary["verdict"] == VERDICT_BOUNDARY
     assert boundary["witness"] == [0, 1, 2]  # the joined triangle
     assert boundary["has_pm"] is False
+
+
+@pytest.mark.parametrize("n", [5, 6, 250])  # 2, 3 and 3 padding bits
+def test_run_stream_records_carry_the_canonical_line(n):
+    pad = -(n * (n - 1) // 2) % 6
+    canonical = [encode_graph6(G) for G in sample_connected(n, 0.5, 3, seed=n)]
+    # set some of each line's padding bits
+    noisy = [
+        line[:-1] + chr(63 + ((ord(line[-1]) - 63) | value))
+        for line, value in zip(canonical, (1, (1 << pad) - 1, 1 << (pad - 1)))
+    ]
+    assert all(a != b for a, b in zip(noisy, canonical))
+    assert [encode_graph6(decode_graph6(line)) for line in noisy] == canonical
+    sinks = [io.StringIO(), io.StringIO()]
+    summaries = [run_stream(lines, out=sink) for lines, sink in zip((noisy, canonical), sinks)]
+    assert summaries[0] == summaries[1]
+    assert sinks[0].getvalue() == sinks[1].getvalue()
+    records = [json.loads(line) for line in sinks[0].getvalue().splitlines()]
+    if n % 2:
+        assert summaries[0].skipped == {"odd-order": 3}
+    else:
+        assert [r["graph6"] for r in records] == canonical
 
 
 def test_run_stream_keeps_a_bounded_sample_of_parse_failures():
@@ -486,10 +513,12 @@ def test_random_sweeps_find_no_counterexamples():
 
 
 def test_parallel_matches_serial():
-    serial = run_exhaustive(6)
-    parallel = run_exhaustive(6, jobs=2)
+    sinks = [io.StringIO(), io.StringIO()]
+    serial = run_exhaustive(6, out=sinks[0])
+    parallel = run_exhaustive(6, out=sinks[1], jobs=2)
     assert parallel.checked == serial.checked
     assert parallel.verdicts == serial.verdicts
+    assert sinks[1].getvalue() == sinks[0].getvalue()
 
 
 def test_sharpness_graph_selection():

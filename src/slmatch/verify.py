@@ -8,10 +8,9 @@ verdict: the extremal constructions attain the threshold exactly, so a strict
 floating-point comparison there would be meaningless.
 
 Sweeps cut their items, each a graph and the graph6 line its source already
-holds (None for a random sample), into same-order chunks (`_chunks`), one
-stacked eigensolver call each, and skip the hypothesis checks of
-`check_graph`: every sweep source yields only connected graphs of even
-order >= 4.
+holds, into same-order chunks (`_chunks`), one stacked eigensolver call
+each, and skip the hypothesis checks of `check_graph`: every sweep source
+yields only connected graphs of even order >= 4.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from itertools import chain
 from typing import IO, Iterable, Iterator
 
 from .errors import CapacityError, HypothesisError, InputError
-from .generate import _connected_with_graph6, connected_graph_count, sample_connected
+from .generate import _connected_with_graph6, _sample_with_graph6, connected_graph_count
 from .graph import Graph, is_connected, proof_graph
 from .graph6 import ParseFailure, decode_graph6, encode_graph6, scan_stream
 from .matching import maximum_matching
@@ -49,6 +48,14 @@ VERDICT_HOLDS = "conclusion-holds"
 VERDICT_HYPOTHESIS = "hypothesis-not-met"
 VERDICT_BOUNDARY = "boundary"
 VERDICT_COUNTEREXAMPLE = "COUNTEREXAMPLE"
+
+# each verdict as a JSON string
+_VERDICT_JSON = {
+    verdict: json.dumps(verdict)
+    for verdict in (
+        VERDICT_HOLDS, VERDICT_HYPOTHESIS, VERDICT_BOUNDARY, VERDICT_COUNTEREXAMPLE
+    )
+}
 
 JSONL_FIELDS = (
     "graph6",
@@ -84,18 +91,19 @@ class VerdictRecord:
 
     def to_json(self) -> str:
         """Byte for byte json.dumps(self.to_dict()), formatted directly: finite
-        floats via repr as json does, strings via json.dumps (graph6 may hold a
-        backslash)."""
+        floats via repr as json does; graph6 text holds bytes 63..126, of
+        which json escapes only the backslash."""
+        graph6 = self.graph6.replace("\\", "\\\\")
         witness = "null"
         if self.witness is not None:
             witness = f"[{', '.join(map(str, self.witness))}]"
         return (
-            f'{{"graph6": {json.dumps(self.graph6)}, "n": {self.n}, '
+            f'{{"graph6": "{graph6}", "n": {self.n}, '
             f'"edges": {self.edges}, "q1": {self.q1!r}, '
             f'"q1_threshold": {self.q1_threshold!r}, '
             f'"edge_threshold": {self.edge_threshold}, '
             f'"has_pm": {"true" if self.has_pm else "false"}, '
-            f'"verdict": {json.dumps(self.verdict)}, "witness": {witness}}}'
+            f'"verdict": {_VERDICT_JSON[self.verdict]}, "witness": {witness}}}'
         )
 
     @property
@@ -109,8 +117,8 @@ class VerdictRecord:
 _BATCH_ENTRIES = 1 << 14
 
 
-# a sweep item: a graph and its graph6 line, or None to encode it
-_Item = tuple[Graph, str | None]
+# a sweep item: a graph and its graph6 line
+_Item = tuple[Graph, str]
 
 
 def _chunks(items: Iterable[_Item]) -> Iterator[list[_Item]]:
@@ -144,7 +152,7 @@ def _record(item: _Item, radius: float) -> VerdictRecord:
         verdict = VERDICT_HYPOTHESIS
 
     return VerdictRecord(
-        graph6=encode_graph6(G) if line is None else line,
+        graph6=line,
         n=n,
         edges=G.edge_count,
         q1=radius,
@@ -167,7 +175,7 @@ def check_graph(G: Graph) -> VerdictRecord:
     _require_even_order(G.n)
     if not is_connected(G):
         raise HypothesisError("disconnected", "need a connected graph")
-    return _check_chunk([(G, None)])[0]
+    return _check_chunk([(G, encode_graph6(G))])[0]
 
 
 # Parse failures a stream summary keeps; skipped["parse-error"] counts them all.
@@ -301,8 +309,7 @@ def run_random(
     # before drawing the n(n-1)/2 pairs of each sample
     _require_dense_order(_require_even_order(n))
     summary = CorpusSummary(expected_count=count)
-    samples = ((G, None) for G in sample_connected(n, p, count, seed))
-    _absorb_all(_iter_records(samples, jobs), summary, out)
+    _absorb_all(_iter_records(_sample_with_graph6(n, p, count, seed), jobs), summary, out)
     return summary
 
 

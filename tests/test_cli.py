@@ -234,7 +234,7 @@ def test_verify_random_above_the_dense_order_cap_exits_2_before_sampling(monkeyp
     def refuse(*args):
         raise AssertionError("an oversize order was sampled")
 
-    monkeypatch.setattr(slmatch.generate, "sample_connected", refuse)
+    monkeypatch.setattr(slmatch.verify, "_sample_with_graph6", refuse)
     argv = ["verify", "--random", str(MAX_DENSE_ORDER + 2), "--p", "0.5", "--count", "1"]
     assert run_cli(argv) == (2, "")
     assert capsys.readouterr().err == "error: dense Q supports orders up to 4096, got 4098\n"

@@ -16,11 +16,39 @@ from slmatch import (
     sample_connected,
 )
 from slmatch.generate import (
+    _REJECTION_CAP,
     _connected_with_graph6,
+    _sample_with_graph6,
     edge_mask_to_graph,
     graph_to_edge_mask,
 )
+from slmatch.graph import Graph
 from slmatch.graph6 import encode_graph6, pair_index_order
+
+
+def _per_pair_samples(n, p, count, seed):
+    """The reference sampler: one rng.random() call per vertex pair of each
+    draw, rejecting disconnected draws, with the same budget and message."""
+    rng = random.Random(seed)
+    pairs = pair_index_order(n)
+    produced = 0
+    attempts = 0
+    budget = _REJECTION_CAP + 200 * count
+    while produced < count:
+        if attempts >= budget:
+            raise SamplingError(
+                f"gave up after {attempts} draws; p={p} may be too sparse for n={n}"
+            )
+        attempts += 1
+        adj = [0] * n
+        for i, j in pairs:
+            if rng.random() < p:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        G = Graph(n, tuple(adj))
+        if is_connected(G):
+            produced += 1
+            yield G
 
 
 def _per_pair_graph(n, mask):
@@ -145,8 +173,34 @@ def test_sample_connected_validation():
         list(sample_connected(5, 0.0, 1, seed=0))
     with pytest.raises(InputError):
         list(sample_connected(5, 1.0, 1, seed=0))
+    for count in (-1, 2.0):
+        with pytest.raises(InputError, match="count must be a nonnegative integer"):
+            list(sample_connected(5, 0.5, count, seed=0))
 
 
 def test_sample_connected_gives_up_when_too_sparse():
-    with pytest.raises(SamplingError):
+    # with the per-pair loop's message and draw count
+    with pytest.raises(SamplingError) as expected:
+        list(_per_pair_samples(12, 1e-9, 1, seed=0))
+    with pytest.raises(SamplingError) as got:
         list(sample_connected(12, 1e-9, 1, seed=0))
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith(f"gave up after {_REJECTION_CAP + 200} draws; ")
+
+
+# orders on both sides of the int64 mask limit (63) and of one draw per
+# block (C(n, 2) > 2^14 from n = 182), each at a dense and a sparse p whose
+# draws are often disconnected
+@pytest.mark.parametrize("n, sparse", [
+    (2, 0.2), (4, 0.3), (12, 0.2), (30, 0.12), (62, 0.07), (63, 0.07), (64, 0.07),
+    (100, 0.05), (250, 0.025),
+])
+@pytest.mark.parametrize("dense", [True, False])
+def test_block_sampler_matches_the_per_pair_loop(n, sparse, dense):
+    p = 0.85 if dense else sparse
+    count = 40 if n < 100 else 2
+    expected = list(_per_pair_samples(n, p, count, seed=n))
+    pairs = list(_sample_with_graph6(n, p, count, seed=n))
+    assert [G for G, _ in pairs] == expected
+    assert [line for _, line in pairs] == [encode_graph6(G) for G in expected]
+    assert list(sample_connected(n, p, count, seed=n)) == expected

@@ -173,26 +173,47 @@ def test_parallel_jsonl_matches_serial_line_by_line():
     serial, parallel = (sink.getvalue().splitlines() for sink in sinks)
     assert len(serial) == 1000
     assert parallel == serial
+    # each record, its graph6 line taken from the sample's pair bits included,
+    # is check_graph's record of the sample
+    samples = sample_connected(12, 0.85, 1000, seed=17)
+    assert serial == [check_graph(G).to_json() for G in samples]
+
+
+def test_random_sweep_leaves_numpy_random_unimported():
+    # the sampler reads its draws from random.Random, so the sweep never pays
+    # for importing numpy.random
+    script = (
+        "import sys\n"
+        "from slmatch import run_random\n"
+        "assert run_random(12, 0.85, 300, 1).checked == 300\n"
+        "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(slmatch.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "False"]
 
 
 _SWEEP_SCRIPT = """
 import time
 
-import slmatch.generate
+import slmatch.verify
 from slmatch import run_random
 
 pulled = 0
-sample = slmatch.generate.sample_connected
+sample = slmatch.verify._sample_with_graph6
 
 
 def counted(*args, **kwargs):
     global pulled
-    for G in sample(*args, **kwargs):
+    for item in sample(*args, **kwargs):
         pulled += 1
-        yield G
+        yield item
 
 
-slmatch.generate.sample_connected = counted
+slmatch.verify._sample_with_graph6 = counted
 
 
 class Sink:
@@ -239,11 +260,11 @@ def test_parallel_sweep_reads_a_bounded_window_of_input():
     # graph that closed the last of them was read too
     per_chunk = _BATCH_ENTRIES // (12 * 12)
     window = _CHUNKS_IN_FLIGHT_PER_JOB * 2
-    assert pulled <= window * per_chunk + 1
+    assert 1 <= pulled <= window * per_chunk + 1
 
 
 def test_parallel_sweep_with_a_failing_sink_raises_instead_of_hanging():
-    assert _parallel_sweep_stopped_by_sink(stop_at=2000) < 40000
+    assert 2000 <= _parallel_sweep_stopped_by_sink(stop_at=2000) < 40000
 
 
 def test_orders_above_the_dense_cap_are_skipped_or_refused():
@@ -317,7 +338,7 @@ def test_records_above_the_krylov_order_carry_python_floats():
     n = _KRYLOV_MIN_ORDER + _KRYLOV_MIN_ORDER % 2
     dense = next(sample_connected(n, 0.5, 1, seed=3))
     path = build_graph(n, [(i, i + 1) for i in range(n - 1)])
-    chunk = [(dense, None), (path, None)]
+    chunk = [(G, encode_graph6(G)) for G in (dense, path)]
     for record in _check_chunk(chunk) + [check_graph(dense), check_graph(path)]:
         assert type(record.q1) is float
         payload = json.loads(record.to_json())

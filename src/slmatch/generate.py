@@ -9,25 +9,22 @@ pair-bit rows and take each graph's line from its row's bits.
 from __future__ import annotations
 
 import random
-from functools import lru_cache, partial
-from itertools import compress, islice
+from functools import lru_cache
+from itertools import islice
 from math import ceil, comb
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import CapacityError, InputError, SamplingError
-from .graph import Graph, is_connected
-from .graph6 import _graph6_lines, edge_bits, pair_index_order
+from .graph import Graph
+from .graph6 import _graph6_lines, _masks, _squares, edge_bits, pair_index_order
 
 _MAX_EXHAUSTIVE = 7
 
 # pair bits per numpy block, enumerated or drawn; larger blocks raise peak
 # memory
 _BLOCK_BITS = 1 << 14
-
-# vertex masks of orders up to 63 fit in int64
-_INT64_ORDERS = 63
 
 _REJECTION_CAP = 10_000
 
@@ -49,73 +46,29 @@ def graph_to_edge_mask(G: Graph) -> int:
     return int("0" + edge_bits(G)[::-1], 2)
 
 
-def _reaches_all(adj: np.ndarray) -> np.ndarray:
-    """Which columns of int64 adjacency masks, one vertex per row and one
-    graph per column, are connected: the vertices reached from vertex 0 take
-    in their neighbours each round, until no column changes."""
-    vertices = np.arange(len(adj), dtype=np.int64)[:, None]
-    reach = np.ones(adj.shape[1], dtype=np.int64)
+def _reaches_all(square: np.ndarray) -> np.ndarray:
+    """Which graphs of a (B, n, n) bool adjacency stack are connected: the
+    vertices reached from vertex 0 take in their neighbours each round, until
+    no row changes."""
+    reach = np.zeros(square.shape[:2], dtype=bool)
+    reach[:, 0] = True
     while True:
-        grown = reach | np.bitwise_or.reduce(adj * ((reach >> vertices) & 1), axis=0)
+        grown = reach | (reach[:, None, :] @ square)[:, 0]
         if np.array_equal(grown, reach):
-            return reach == (1 << len(adj)) - 1
+            return reach.all(axis=1)
         reach = grown
-
-
-def _narrow_connected(
-    n: int, incident: np.ndarray, weights: np.ndarray, bits: np.ndarray
-) -> tuple[np.ndarray, list]:
-    """Which rows of `bits` are connected, and the adjacency masks of those,
-    from int64 masks."""
-    adj = (bits.T[incident] * weights).reshape(n, n - 1, len(bits)).sum(axis=1)
-    connected = _reaches_all(adj)
-    return connected, adj[:, connected].T.tolist()
-
-
-def _wide_connected(
-    n: int, ends: np.ndarray, bits: np.ndarray
-) -> tuple[np.ndarray, list]:
-    """Which rows of `bits` are connected, and the adjacency masks of those,
-    as Python ints: each row fills an n x n 0/1 square, whose rows packed
-    little-endian are the vertex masks."""
-    square = np.zeros((len(bits), n, n), dtype=bool)
-    square[:, ends[0], ends[1]] = bits
-    square |= square.transpose(0, 2, 1)
-    raw = np.packbits(square, axis=2, bitorder="little").tobytes()
-    width = (n + 7) // 8
-    masks = [
-        int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)
-    ]
-    rows = [tuple(masks[r : r + n]) for r in range(0, len(masks), n)]
-    connected = np.array([is_connected(Graph(n, row)) for row in rows], dtype=bool)
-    return connected, list(compress(rows, connected))
 
 
 def _connected_rows(
     n: int, blocks: Iterable[np.ndarray]
 ) -> Iterator[tuple[Graph, str]]:
     """(graph, graph6 line) of each connected row of each block, a 0/1 matrix
-    whose rows are order-n pair bits in pair_index_order.
-
-    Up to order 63 a block's masks are int64 and its connectivity is decided
-    for the whole block at once; above, each graph is tested on its own.
-    """
-    pairs = pair_index_order(n)
-    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    if n <= _INT64_ORDERS:
-        # vertex v's mask sums 1 << u over its n - 1 pairs {u, v}: `incident`
-        # lists the pairs of vertex 0, then of vertex 1, ..., and `weights`
-        # holds the 1 << u of each
-        order = np.argsort(ends.ravel(), kind="stable")
-        incident = np.tile(np.arange(len(pairs)), 2)[order]
-        weights = (1 << ends[::-1].ravel())[order, None]
-        step = partial(_narrow_connected, n, incident, weights)
-    else:
-        step = partial(_wide_connected, n, ends)
+    whose rows are order-n pair bits in pair_index_order."""
     for bits in blocks:
-        connected, rows = step(bits)
-        for row, line in zip(rows, _graph6_lines(n, bits[connected])):
-            yield Graph(n, tuple(row)), line
+        square = _squares(n, bits)
+        connected = _reaches_all(square)
+        for masks, line in zip(_masks(square[connected]), _graph6_lines(n, bits[connected])):
+            yield Graph(n, masks), line
 
 
 def _connected_with_graph6(n: int) -> Iterator[tuple[Graph, str]]:

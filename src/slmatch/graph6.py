@@ -127,24 +127,37 @@ def _parse_header(line: str) -> tuple[int, int]:
     return n, idx
 
 
+def _squares(n: int, bits: np.ndarray) -> np.ndarray:
+    """Adjacency matrices of order-n graphs, a (B, n, n) bool stack, from a
+    (B, C(n, 2)) 0/1 matrix of their pair bits in pair_index_order: column j
+    of the upper triangle is copied into row j, then mirrored."""
+    square = np.zeros((len(bits), n, n), dtype=bool)
+    for j in range(1, n):
+        square[:, j, :j] = bits[:, j * (j - 1) // 2 : j * (j + 1) // 2]
+    square |= square.transpose(0, 2, 1)
+    return square
+
+
+def _masks(square: np.ndarray) -> list[tuple[int, ...]]:
+    """Each graph's vertex masks, as Python ints, from a (B, n, n) adjacency
+    stack: row v with column u at bit u."""
+    n = square.shape[-1]
+    if n <= 64:  # each vertex mask fits one uint64 word
+        return list(map(tuple, (square @ (1 << np.arange(n, dtype=np.uint64))).tolist()))
+    raw = np.packbits(square, axis=2, bitorder="little").tobytes()
+    width = (n + 7) // 8
+    masks = [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
+    return [tuple(masks[r : r + n]) for r in range(0, len(masks), n)]
+
+
 def decode_graph6(line: str) -> Graph:
     """Graph encoded by one graph6 line (header not accepted here)."""
     n, idx = _parse_header(line)
     body = line[idx:].encode("ascii").translate(_FROM_GRAPH6)
     # "A" is base64's zero digit; it pads the body to whole 4-digit groups
     raw = base64.b64decode(body + b"A" * (-len(body) % 4))
-    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b").encode("ascii")
-
-    # An n x n square of ASCII digits holds the strict lower triangle of the
-    # adjacency matrix: row j is column j of the upper triangle, zero-padded.
-    # Row v read backwards gives v's lower neighbours and column v read
-    # bottom-up its higher ones, each a binary numeral with vertex u at bit u.
-    square = bytearray(b"0") * (n * n)
-    for j in range(1, n):
-        square[j * n : j * n + j] = bits[j * (j - 1) // 2 : j * (j + 1) // 2]
-    bottom = n * n - n  # start of the last row
-    masks = [int(square[v * n : v * n + n][::-1], 2) for v in range(n)]
-    return Graph(n, tuple(m | int(square[bottom + v :: -n], 2) for v, m in enumerate(masks)))
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n * (n - 1) // 2)
+    return Graph(n, _masks(_squares(n, bits[None]))[0])
 
 
 @dataclass(frozen=True)

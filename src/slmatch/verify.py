@@ -172,7 +172,7 @@ def _check_chunk(chunk: list[_Item]) -> list[VerdictRecord]:
 
 def check_graph(G: Graph) -> VerdictRecord:
     """Evaluate both conditions on one connected graph of even order >= 4."""
-    _require_even_order(G.n)
+    _require_dense_order(_require_even_order(G.n))  # before G is encoded
     if not is_connected(G):
         raise HypothesisError("disconnected", "need a connected graph")
     return _check_chunk([(G, encode_graph6(G))])[0]

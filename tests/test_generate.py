@@ -23,7 +23,7 @@ from slmatch.generate import (
     graph_to_edge_mask,
 )
 from slmatch.graph import Graph
-from slmatch.graph6 import encode_graph6, pair_index_order
+from slmatch.graph6 import decode_graph6, encode_graph6, pair_index_order
 
 
 def _per_pair_samples(n, p, count, seed):
@@ -188,12 +188,12 @@ def test_sample_connected_gives_up_when_too_sparse():
     assert str(got.value).startswith(f"gave up after {_REJECTION_CAP + 200} draws; ")
 
 
-# orders on both sides of the int64 mask limit (63) and of one draw per
+# orders on both sides of the 64-bit mask word (64) and of one draw per
 # block (C(n, 2) > 2^14 from n = 182), each at a dense and a sparse p whose
 # draws are often disconnected
 @pytest.mark.parametrize("n, sparse", [
     (2, 0.2), (4, 0.3), (12, 0.2), (30, 0.12), (62, 0.07), (63, 0.07), (64, 0.07),
-    (100, 0.05), (250, 0.025),
+    (65, 0.07), (100, 0.05), (250, 0.025),
 ])
 @pytest.mark.parametrize("dense", [True, False])
 def test_block_sampler_matches_the_per_pair_loop(n, sparse, dense):
@@ -204,3 +204,15 @@ def test_block_sampler_matches_the_per_pair_loop(n, sparse, dense):
     assert [G for G, _ in pairs] == expected
     assert [line for _, line in pairs] == [encode_graph6(G) for G in expected]
     assert list(sample_connected(n, p, count, seed=n)) == expected
+
+
+def test_block_and_decoded_masks_are_python_ints():
+    # Graph.degree, hashing and signless_laplacians' m.to_bytes need int
+    # masks, not numpy scalars; orders on both sides of the 64-bit mask word
+    graphs = [G for G, _ in _connected_with_graph6(4)]
+    for n in (12, 64, 65):
+        for G, line in _sample_with_graph6(n, 0.5, 3, seed=n):
+            graphs += [G, decode_graph6(line)]
+    for G in graphs:
+        assert all(type(m) is int for m in G.adjacency_masks())
+        assert G == build_graph(G.n, G.edges())

@@ -85,7 +85,7 @@ def test_roundtrip_random_graphs():
 
 
 def test_roundtrip_extended_size_boundary():
-    for n in (62, 63, 64):
+    for n in (62, 63, 64, 65):
         rng = random.Random(n)
         G = edge_mask_to_graph(n, rng.getrandbits(n * (n - 1) // 2))
         line = encode_graph6(G)

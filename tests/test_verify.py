@@ -281,6 +281,17 @@ def test_orders_above_the_dense_cap_are_skipped_or_refused():
         q1(empty_graph(MAX_DENSE_ORDER + 1))
 
 
+def test_check_graph_refuses_a_large_order_before_encoding(monkeypatch):
+    def refuse(G):
+        raise AssertionError(f"encoded a graph of order {G.n}")
+
+    monkeypatch.setattr(slmatch.verify, "encode_graph6", refuse)
+    n = MAX_DENSE_ORDER + 2
+    path = build_graph(n, [(v, v + 1) for v in range(n - 1)])
+    with pytest.raises(CapacityError):
+        check_graph(path)
+
+
 def test_check_graph_deterministic():
     a = check_graph(extremal_h(12))
     b = check_graph(extremal_h(12))

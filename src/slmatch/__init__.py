@@ -36,7 +36,6 @@ from .graph import (
     deficiency,
     empty_graph,
     extremal_h,
-    is_connected,
     join,
     proof_graph,
 )

@@ -1,16 +1,15 @@
 """Exhaustive and seeded-random generation of labelled connected graphs.
 
 Edge masks index vertex pairs in the same column-major order as the graph6
-codec, so any mask can be reported back as a graph6 line for reproduction:
-both the exhaustive enumeration and the random sampler work on blocks of
-pair-bit rows and take each graph's line from its row's bits.
+codec, so any mask can be reported back as a graph6 line for reproduction.
+The enumeration and the sampler yield blocks: the (B, n, n) bool adjacency
+stack of the connected rows of a block of pair bits, and their graph6 lines.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import islice
 from math import ceil, comb
 from typing import Iterable, Iterator
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError, SamplingError
 from .graph import Graph
-from .graph6 import _graph6_lines, _masks, _squares, edge_bits, pair_index_order
+from .graph6 import _graph6_lines, _graphs, _squares, edge_bits, pair_index_order
 
 _MAX_EXHAUSTIVE = 7
 
@@ -47,33 +46,36 @@ def graph_to_edge_mask(G: Graph) -> int:
 
 
 def _reaches_all(square: np.ndarray) -> np.ndarray:
-    """Which graphs of a (B, n, n) bool adjacency stack are connected: the
-    vertices reached from vertex 0 take in their neighbours each round, until
-    no row changes."""
+    """Which graphs of a (B, n, n) bool adjacency stack, n >= 1, are
+    connected: the vertices first reached from vertex 0 in one round take in
+    their neighbours in the next, so each round reads only the rows of the
+    vertices it starts from and a path of order n costs O(n^2), not O(n^3)."""
     reach = np.zeros(square.shape[:2], dtype=bool)
     reach[:, 0] = True
-    while True:
-        grown = reach | (reach[:, None, :] @ square)[:, 0]
-        if np.array_equal(grown, reach):
-            return reach.all(axis=1)
-        reach = grown
+    new = reach.copy()
+    while new.any():
+        rows = np.flatnonzero(new.any(axis=0))
+        new = (new[:, rows, None] & square[:, rows]).any(axis=1) & ~reach
+        reach |= new
+    return reach.all(axis=1)
 
 
-def _connected_rows(
-    n: int, blocks: Iterable[np.ndarray]
-) -> Iterator[tuple[Graph, str]]:
-    """(graph, graph6 line) of each connected row of each block, a 0/1 matrix
-    whose rows are order-n pair bits in pair_index_order."""
+_Block = tuple[np.ndarray, list[str]]  # a (B, n, n) bool stack, its B graph6 lines
+
+
+def _connected_rows(n: int, blocks: Iterable[np.ndarray]) -> Iterator[_Block]:
+    """The block of connected rows of each 0/1 matrix of order-n pair bits
+    in pair_index_order, left out when it has none."""
     for bits in blocks:
         square = _squares(n, bits)
         connected = _reaches_all(square)
-        for masks, line in zip(_masks(square[connected]), _graph6_lines(n, bits[connected])):
-            yield Graph(n, masks), line
+        if connected.any():
+            yield square[connected], _graph6_lines(n, bits[connected])
 
 
-def _connected_with_graph6(n: int) -> Iterator[tuple[Graph, str]]:
-    """(graph, graph6 line) of every labelled connected graph on n vertices,
-    in increasing mask order.
+def _connected_with_graph6(n: int) -> Iterator[_Block]:
+    """Blocks of every labelled connected graph on n vertices, in increasing
+    mask order.
 
     2^C(n,2) masks are scanned, so n is capped at 7.
     """
@@ -99,8 +101,8 @@ def _connected_with_graph6(n: int) -> Iterator[tuple[Graph, str]]:
 def all_connected(n: int) -> Iterator[Graph]:
     """Every labelled connected graph on n vertices (n <= 7), in increasing
     mask order."""
-    for G, _ in _connected_with_graph6(n):
-        yield G
+    for square, _ in _connected_with_graph6(n):
+        yield from _graphs(square)
 
 
 @lru_cache(maxsize=None)
@@ -136,11 +138,9 @@ def _draws_below(rng: random.Random, count: int, below: int) -> np.ndarray:
     return below_at
 
 
-def _sample_with_graph6(
-    n: int, p: float, count: int, seed: int
-) -> Iterator[tuple[Graph, str]]:
-    """(graph, graph6 line) of `count` connected samples from the binomial
-    random-graph model G(n, p), by rejection sampling.
+def _sample_with_graph6(n: int, p: float, count: int, seed: int) -> Iterator[_Block]:
+    """Blocks of `count` connected samples from the binomial random-graph
+    model G(n, p), by rejection sampling.
 
     Attempt t keeps its k-th pair iff draw t * C(n, 2) + k of
     random.Random(seed) is below p, as if random() were called once per pair
@@ -163,14 +163,15 @@ def _sample_with_graph6(
         # a block draws no more samples than are still wanted (`produced` is
         # read as each block is pulled) or than the budget has left
         attempts = 0
-        while attempts < budget:
+        while attempts < budget and produced < count:
             rows = min(max(1, _BLOCK_BITS // nbits), count - produced, budget - attempts)
             attempts += rows
             yield _draws_below(rng, rows * nbits, below).reshape(rows, nbits)
 
     produced = 0
-    for produced, item in enumerate(islice(_connected_rows(n, blocks()), count), 1):
-        yield item
+    for block in _connected_rows(n, blocks()):
+        produced += len(block[1])
+        yield block
     if produced < count:
         raise SamplingError(
             f"gave up after {budget} draws; p={p} may be too sparse for n={n}"
@@ -184,5 +185,5 @@ def sample_connected(
 
     Rejection sampling, fully determined by (n, p, count, seed).
     """
-    for G, _ in _sample_with_graph6(n, p, count, seed):
-        yield G
+    for square, _ in _sample_with_graph6(n, p, count, seed):
+        yield from _graphs(square)

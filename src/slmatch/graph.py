@@ -111,15 +111,6 @@ def components(G: Graph) -> list[tuple[int, ...]]:
     return [tuple(_bits(m)) for m in component_masks(G._adj, full)]
 
 
-def is_connected(G: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0."""
-    if G.n == 0:
-        raise InputError("connectivity is undefined for the empty graph")
-    full = (1 << G.n) - 1
-    first = next(component_masks(G._adj, full))
-    return first == full
-
-
 def deficiency(G: Graph, S: Iterable[int]) -> int:
     """Tutte-Berge deficiency o(G - S) - |S| of the vertex set S, counted on
     the adjacency masks without building G - S."""

@@ -89,10 +89,10 @@ def _graph6_lines(n: int, bits: np.ndarray) -> list[str]:
     return _lines(prefix, raw, bits.shape[1], len(bits))
 
 
-def _parse_header(line: str) -> tuple[int, int]:
-    """Order of one graph6 line and the offset of its adjacency bytes, after
-    checking the byte range, the order field and the body length; the body
-    is not decoded, so a line can be skipped by its order alone."""
+def _parse_header(line: str) -> int:
+    """Order of one graph6 line, after checking the byte range, the order
+    field and the body length; the body is not decoded, so a line can be
+    skipped by its order alone."""
     if not line:
         raise Graph6ParseError("empty graph6 line", offset=0)
     if not line.isascii() or line.encode("ascii").translate(None, _GRAPH6_BYTES):
@@ -124,7 +124,7 @@ def _parse_header(line: str) -> tuple[int, int]:
             f"expected {nbytes} adjacency bytes for n={n}, got {len(line) - idx}",
             offset=idx,
         )
-    return n, idx
+    return n
 
 
 def _squares(n: int, bits: np.ndarray) -> np.ndarray:
@@ -138,26 +138,35 @@ def _squares(n: int, bits: np.ndarray) -> np.ndarray:
     return square
 
 
-def _masks(square: np.ndarray) -> list[tuple[int, ...]]:
-    """Each graph's vertex masks, as Python ints, from a (B, n, n) adjacency
-    stack: row v with column u at bit u."""
+def _graphs(square: np.ndarray) -> list[Graph]:
+    """The graph of each matrix of a (B, n, n) adjacency stack, its vertex
+    masks Python ints: row v with column u at bit u."""
     n = square.shape[-1]
     if n <= 64:  # each vertex mask fits one uint64 word
-        return list(map(tuple, (square @ (1 << np.arange(n, dtype=np.uint64))).tolist()))
+        masks = (square @ (1 << np.arange(n, dtype=np.uint64))).tolist()
+        return [Graph(n, tuple(row)) for row in masks]
     raw = np.packbits(square, axis=2, bitorder="little").tobytes()
     width = (n + 7) // 8
     masks = [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
-    return [tuple(masks[r : r + n]) for r in range(0, len(masks), n)]
+    return [Graph(n, tuple(masks[r : r + n])) for r in range(0, len(masks), n)]
+
+
+def _line_bits(n: int, lines: list[str]) -> np.ndarray:
+    """Pair bits of well-formed order-n graph6 lines, a (B, C(n, 2)) 0/1
+    matrix in pair_index_order: each body, padded with "?" (graph6's zero
+    digit, base64's "A") to whole 4-digit groups, goes through one b64decode."""
+    start = len(_order_prefix(n))
+    nbits = n * (n - 1) // 2
+    pad = "?" * (-((nbits + 5) // 6) % 4)
+    text = "".join([line[start:] + pad for line in lines]).encode("ascii")
+    rows = np.frombuffer(base64.b64decode(text.translate(_FROM_GRAPH6)), dtype=np.uint8)
+    return np.unpackbits(rows.reshape(len(lines), -1), axis=1, count=nbits)
 
 
 def decode_graph6(line: str) -> Graph:
     """Graph encoded by one graph6 line (header not accepted here)."""
-    n, idx = _parse_header(line)
-    body = line[idx:].encode("ascii").translate(_FROM_GRAPH6)
-    # "A" is base64's zero digit; it pads the body to whole 4-digit groups
-    raw = base64.b64decode(body + b"A" * (-len(body) % 4))
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n * (n - 1) // 2)
-    return Graph(n, _masks(_squares(n, bits[None]))[0])
+    n = _parse_header(line)
+    return _graphs(_squares(n, _line_bits(n, [line])))[0]
 
 
 @dataclass(frozen=True)
@@ -194,7 +203,7 @@ def scan_stream(lines: Iterable[str]) -> Iterator[tuple[int, str] | ParseFailure
             if not text:
                 continue
         try:
-            n = _parse_header(text)[0]
+            n = _parse_header(text)
             yield n, _clear_padding(text, n)
         except Graph6ParseError as exc:
             yield ParseFailure(number, exc.offset, str(exc))

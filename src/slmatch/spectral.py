@@ -34,13 +34,19 @@ def _require_dense_order(n: int) -> None:
         raise CapacityError(f"dense Q supports orders up to {MAX_DENSE_ORDER}, got {n}")
 
 
-def signless_laplacians(graphs: Sequence[Graph]) -> np.ndarray:
-    """Stacked Q = D + A of B >= 1 graphs of one order n <= MAX_DENSE_ORDER,
-    a (B, n, n) array.
+def _signless(square: np.ndarray) -> np.ndarray:
+    """Stacked Q = D + A of a (B, n, n) 0/1 adjacency stack."""
+    Q = square.astype(float)
+    diagonal = np.arange(square.shape[-1])
+    Q[:, diagonal, diagonal] = Q.sum(axis=2)
+    return Q
 
-    Row v's mask, written little-endian by `int.to_bytes`, holds A[v, u] at
-    bit u, so `np.unpackbits` expands all rows at once; row sums give D.
-    """
+
+def signless_laplacians(graphs: Sequence[Graph]) -> np.ndarray:
+    """Stacked Q = D + A, a (B, n, n) array, of B >= 1 graphs of one order
+    n <= MAX_DENSE_ORDER: row v's mask, written little-endian by
+    `int.to_bytes`, holds A[v, u] at bit u, so `np.unpackbits` expands all
+    rows at once."""
     if not graphs or any(G.n != graphs[0].n for G in graphs):
         raise InputError("expected one or more graphs, all of one order")
     n = graphs[0].n
@@ -48,10 +54,7 @@ def signless_laplacians(graphs: Sequence[Graph]) -> np.ndarray:
     width = (n + 7) // 8
     raw = b"".join([m.to_bytes(width, "little") for G in graphs for m in G.adjacency_masks()])
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    Q = bits.reshape(len(graphs), n, 8 * width)[:, :, :n].astype(float)
-    diagonal = np.arange(n)
-    Q[:, diagonal, diagonal] = Q.sum(axis=2)
-    return Q
+    return _signless(bits.reshape(len(graphs), n, 8 * width)[:, :, :n])
 
 
 def _validate_symmetric_nonnegative(M: np.ndarray) -> np.ndarray:

@@ -7,10 +7,10 @@ Graphs sitting within EPSILON of the threshold get the separate "boundary"
 verdict: the extremal constructions attain the threshold exactly, so a strict
 floating-point comparison there would be meaningless.
 
-Sweeps cut their items, each a graph and the graph6 line its source already
-holds, into same-order chunks (`_chunks`), one stacked eigensolver call
-each, and skip the hypothesis checks of `check_graph`: every sweep source
-yields only connected graphs of even order >= 4.
+Every check runs on blocks, a (B, n, n) bool adjacency stack of connected
+graphs of one order and their graph6 lines, one stacked eigensolver call
+each (`_check_block`).  The sweep sources yield blocks of connected graphs
+of even order >= 4, so sweeps skip the hypothesis checks of `check_graph`.
 """
 
 from __future__ import annotations
@@ -21,24 +21,31 @@ import os
 from collections import Counter, deque
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress, groupby, islice, starmap
+from math import comb
+from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
+import numpy as np
+
 from .errors import CapacityError, HypothesisError, InputError
-from .generate import _connected_with_graph6, _sample_with_graph6, connected_graph_count
-from .graph import Graph, is_connected, proof_graph
-from .graph6 import ParseFailure, decode_graph6, encode_graph6, scan_stream
+from .generate import (
+    _BLOCK_BITS, _Block, _connected_with_graph6, _reaches_all, _sample_with_graph6,
+    connected_graph_count,
+)
+from .graph import Graph, proof_graph
+from .graph6 import ParseFailure, _graphs, _line_bits, _squares, encode_graph6, scan_stream
 from .matching import maximum_matching
 from .spectral import (
     MAX_DENSE_ORDER,
     _order_refusal,
     _require_dense_order,
     _require_even_order,
+    _signless,
     edge_threshold,
     q1_threshold,
     r_l_of_n,
     r_of_n,
-    signless_laplacians,
     spectral_radius,
 )
 
@@ -112,33 +119,7 @@ class VerdictRecord:
         return self.edges > self.edge_threshold and not self.has_pm
 
 
-# Largest B*n*n a stacked eigvalsh call (and a chunk of graphs) may hold:
-# 2^14 float64 entries is 128 KiB, so peak memory does not grow with B.
-_BATCH_ENTRIES = 1 << 14
-
-
-# a sweep item: a graph and its graph6 line
-_Item = tuple[Graph, str]
-
-
-def _chunks(items: Iterable[_Item]) -> Iterator[list[_Item]]:
-    """Runs of consecutive items of one order with sum(n^2) <=
-    _BATCH_ENTRIES, or one item: each is one stacked eigensolver call."""
-    chunk: list[_Item] = []
-    entries = 0
-    for item in items:
-        n = item[0].n
-        if chunk and (n != chunk[0][0].n or entries + n * n > _BATCH_ENTRIES):
-            yield chunk
-            chunk, entries = [], 0
-        chunk.append(item)
-        entries += n * n
-    if chunk:
-        yield chunk
-
-
-def _record(item: _Item, radius: float) -> VerdictRecord:
-    G, line = item
+def _record(G: Graph, line: str, radius: float) -> VerdictRecord:
     n = G.n
     threshold = q1_threshold(n)
     matching = maximum_matching(G)
@@ -164,18 +145,20 @@ def _record(item: _Item, radius: float) -> VerdictRecord:
     )
 
 
-def _check_chunk(chunk: list[_Item]) -> list[VerdictRecord]:
-    """Records of one `_chunks` chunk, whose graphs meet the hypotheses."""
-    radii = spectral_radius(signless_laplacians([G for G, _ in chunk])).tolist()
-    return list(map(_record, chunk, radii))
+def _check_block(square: np.ndarray, lines: list[str]) -> list[VerdictRecord]:
+    """Records of one block, whose graphs meet the hypotheses."""
+    radii = spectral_radius(_signless(square)).tolist()
+    return list(map(_record, _graphs(square), lines, radii))
 
 
 def check_graph(G: Graph) -> VerdictRecord:
     """Evaluate both conditions on one connected graph of even order >= 4."""
     _require_dense_order(_require_even_order(G.n))  # before G is encoded
-    if not is_connected(G):
+    line = encode_graph6(G)
+    square = _squares(G.n, _line_bits(G.n, [line]))
+    if not _reaches_all(square)[0]:
         raise HypothesisError("disconnected", "need a connected graph")
-    return _check_chunk([(G, encode_graph6(G))])[0]
+    return _check_block(square, [line])[0]
 
 
 # Parse failures a stream summary keeps; skipped["parse-error"] counts them all.
@@ -213,27 +196,27 @@ class CorpusSummary:
         return 0 if self.clean else 1
 
 
-# Chunk results a pool may have pending per worker: enough to keep every
+# Block results a pool may have pending per worker: enough to keep every
 # worker busy, while the input is read only that far ahead.
-_CHUNKS_IN_FLIGHT_PER_JOB = 4
+_BLOCKS_IN_FLIGHT_PER_JOB = 4
 
 
-def _iter_records(items: Iterable[_Item], jobs: int) -> Iterator[VerdictRecord]:
-    """Records of items whose graphs meet the hypotheses, in input order."""
+def _iter_records(blocks: Iterable[_Block], jobs: int) -> Iterator[VerdictRecord]:
+    """Records of blocks whose graphs meet the hypotheses, in input order."""
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
     # more workers than CPUs only add processes, never speed
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
-        yield from chain.from_iterable(map(_check_chunk, _chunks(items)))
+        yield from chain.from_iterable(starmap(_check_block, blocks))
         return
     # leaving the with block early (the consumer stopped, or a worker's error
     # was raised again by get) terminates the pool
     with multiprocessing.Pool(workers) as pool:
         pending: deque = deque()
-        for chunk in _chunks(items):
-            pending.append(pool.apply_async(_check_chunk, (chunk,)))
-            if len(pending) == _CHUNKS_IN_FLIGHT_PER_JOB * workers:
+        for block in blocks:
+            pending.append(pool.apply_async(_check_block, block))
+            if len(pending) == _BLOCKS_IN_FLIGHT_PER_JOB * workers:
                 yield from pending.popleft().get()
         while pending:
             yield from pending.popleft().get()
@@ -274,7 +257,7 @@ def run_stream(
     """
     summary = CorpusSummary()
 
-    def eligible() -> Iterator[_Item]:
+    def eligible() -> Iterator[tuple[int, str]]:
         # the order is read from each line's header, so only lines that pass
         # the order checks are decoded
         for item in scan_stream(lines):
@@ -283,17 +266,26 @@ def run_stream(
                 if len(summary.parse_failures) < _PARSE_FAILURES_KEPT:
                     summary.parse_failures.append(item)
                 continue
-            n, line = item
-            if refusal := _order_refusal(n):
+            if refusal := _order_refusal(n := item[0]):
                 summary.skipped[refusal] += 1
             elif n > MAX_DENSE_ORDER:
                 summary.skipped["order-too-large"] += 1
-            elif not is_connected(G := decode_graph6(line)):
-                summary.skipped["disconnected"] += 1
             else:
-                yield G, line
+                yield item
 
-    _absorb_all(_iter_records(eligible(), jobs), summary, out)
+    def blocks() -> Iterator[_Block]:
+        # one block of lines of one order is held at a time
+        for n, run in groupby(eligible(), key=itemgetter(0)):
+            size = max(1, _BLOCK_BITS // comb(n, 2))
+            while group := [line for _, line in islice(run, size)]:
+                square = _squares(n, _line_bits(n, group))
+                connected = _reaches_all(square)
+                if dropped := len(group) - int(connected.sum()):
+                    summary.skipped["disconnected"] += dropped
+                if connected.any():
+                    yield square[connected], list(compress(group, connected))
+
+    _absorb_all(_iter_records(blocks(), jobs), summary, out)
     return summary
 
 

@@ -1,7 +1,10 @@
 """Enumeration counts, edge-mask ordering, and seeded sampling."""
 
 import random
+import time
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from slmatch import (
@@ -12,18 +15,37 @@ from slmatch import (
     build_graph,
     complete_graph,
     connected_graph_count,
-    is_connected,
     sample_connected,
 )
 from slmatch.generate import (
     _REJECTION_CAP,
+    _connected_rows,
     _connected_with_graph6,
+    _reaches_all,
     _sample_with_graph6,
     edge_mask_to_graph,
     graph_to_edge_mask,
 )
 from slmatch.graph import Graph
-from slmatch.graph6 import decode_graph6, encode_graph6, pair_index_order
+from slmatch.graph6 import _squares, decode_graph6, edge_bits, encode_graph6, pair_index_order
+
+
+def is_connected(G):
+    """Connectivity by networkx, an independent reference."""
+    H = nx.Graph(G.edges())
+    H.add_nodes_from(range(G.n))
+    return nx.is_connected(H)
+
+
+def _rows(blocks):
+    """(graph, graph6 line) of each row of each block, the graph read off
+    the row of the block's adjacency stack."""
+    for square, lines in blocks:
+        assert square.dtype == bool and len(square) == len(lines) > 0
+        for A, line in zip(square, lines):
+            assert np.array_equal(A, A.T) and not A.diagonal().any()
+            i, j = np.triu(A).nonzero()
+            yield build_graph(len(A), zip(i.tolist(), j.tolist())), line
 
 
 def _per_pair_samples(n, p, count, seed):
@@ -132,7 +154,7 @@ def test_block_enumeration_matches_the_scalar_mask_path():
         graphs = (edge_mask_to_graph(n, m) for m in range(1 << (n * (n - 1) // 2)))
         expected = [G for G in graphs if is_connected(G)]
         assert list(all_connected(n)) == expected
-        pairs = list(_connected_with_graph6(n))
+        pairs = list(_rows(_connected_with_graph6(n)))
         assert [G for G, _ in pairs] == expected
         assert [line for _, line in pairs] == [encode_graph6(G) for G in expected]
 
@@ -200,7 +222,7 @@ def test_block_sampler_matches_the_per_pair_loop(n, sparse, dense):
     p = 0.85 if dense else sparse
     count = 40 if n < 100 else 2
     expected = list(_per_pair_samples(n, p, count, seed=n))
-    pairs = list(_sample_with_graph6(n, p, count, seed=n))
+    pairs = list(_rows(_sample_with_graph6(n, p, count, seed=n)))
     assert [G for G, _ in pairs] == expected
     assert [line for _, line in pairs] == [encode_graph6(G) for G in expected]
     assert list(sample_connected(n, p, count, seed=n)) == expected
@@ -209,10 +231,41 @@ def test_block_sampler_matches_the_per_pair_loop(n, sparse, dense):
 def test_block_and_decoded_masks_are_python_ints():
     # Graph.degree, hashing and signless_laplacians' m.to_bytes need int
     # masks, not numpy scalars; orders on both sides of the 64-bit mask word
-    graphs = [G for G, _ in _connected_with_graph6(4)]
+    graphs = list(all_connected(4))
     for n in (12, 64, 65):
-        for G, line in _sample_with_graph6(n, 0.5, 3, seed=n):
-            graphs += [G, decode_graph6(line)]
+        graphs += sample_connected(n, 0.5, 3, seed=n)
+        graphs += [decode_graph6(line) for _, line in _rows(_sample_with_graph6(n, 0.5, 3, n))]
     for G in graphs:
         assert all(type(m) is int for m in G.adjacency_masks())
         assert G == build_graph(G.n, G.edges())
+
+
+def test_blocks_hold_only_connected_rows():
+    # order 3: pair bits x(0,1), x(0,2), x(1,2); a block with no connected
+    # row is left out
+    disconnected = np.array([[0, 0, 0], [1, 0, 0]], dtype=np.uint8)
+    mixed = np.array([[0, 1, 0], [1, 1, 0], [0, 1, 1]], dtype=np.uint8)
+    blocks = list(_connected_rows(3, [disconnected, mixed]))
+    assert len(blocks) == 1
+    square, lines = blocks[0]
+    assert square.shape == (2, 3, 3)
+    assert lines == [encode_graph6(edge_mask_to_graph(3, m)) for m in (0b011, 0b110)]
+
+
+def test_sampler_blocks_add_up_to_count():
+    # sparse G(30, p): many draws are disconnected, blocks of at most 37
+    sizes = [len(lines) for _, lines in _sample_with_graph6(30, 0.12, 50, seed=1)]
+    assert sum(sizes) == 50 and all(sizes)
+
+
+def test_connectivity_on_a_long_path_is_quadratic():
+    n = 2000
+    path = build_graph(n, [(v, v + 1) for v in range(n - 1)])
+    cut = build_graph(n, [(v, v + 1) for v in range(n - 1) if v != n // 2])
+    bits = np.array([np.frombuffer(edge_bits(G).encode(), np.uint8) - 48 for G in (path, cut)])
+    square = _squares(n, bits)
+    start = time.perf_counter()
+    reach = _reaches_all(square)
+    elapsed = time.perf_counter() - start
+    assert reach.tolist() == [True, False]
+    assert elapsed < 1.0

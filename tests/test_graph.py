@@ -4,6 +4,7 @@ import random
 from functools import reduce
 from math import comb
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,6 @@ from slmatch import (
     deficiency,
     empty_graph,
     extremal_h,
-    is_connected,
     join,
     proof_graph,
     tutte_berge_oracle,
@@ -76,14 +76,6 @@ def test_graphs_are_value_objects():
     b = build_graph(3, [(1, 0)])
     assert a == b and hash(a) == hash(b)
     assert a != build_graph(3, [(0, 2)])
-
-
-def test_is_connected(path3):
-    assert is_connected(path3)
-    assert not is_connected(build_graph(2, []))
-    assert is_connected(extremal_h(10))
-    with pytest.raises(InputError):
-        is_connected(build_graph(0, []))
 
 
 def test_delete_hub_of_h10(nx_odd_components):
@@ -174,7 +166,7 @@ def test_proof_graph_edge_count_formula():
 
 def test_proof_graph_always_connected():
     for s, parts in [(1, [1, 1, 1]), (3, [5, 3, 1, 1, 1]), (2, [9, 7, 5, 3])]:
-        assert is_connected(proof_graph(s, parts))
+        assert nx.is_connected(nx.Graph(proof_graph(s, parts).edges()))
 
 
 def test_proof_graph_validation():

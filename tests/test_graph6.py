@@ -22,6 +22,7 @@ from slmatch import (
     scan_stream,
 )
 from slmatch.generate import edge_mask_to_graph
+from slmatch.graph6 import _line_bits
 from slmatch.spectral import MAX_DENSE_ORDER
 
 
@@ -205,6 +206,30 @@ def test_scan_stream_clears_padding_bits(n):
         lines.append(noisy)
         canonical.append(encode_graph6(decode_graph6(noisy)))
     assert list(scan_stream(lines)) == [(n, line) for line in canonical]
+
+
+def _body_bits(line, n):
+    """Pair bits of a graph6 line, six per body character, without padding."""
+    body = line[1:] if n <= 62 else line[4:]
+    bits = "".join(format(ord(c) - 63, "06b") for c in body)
+    return [int(b) for b in bits[: n * (n - 1) // 2]]
+
+
+# no pair bit, 1, 3, and both sides of the one-byte order field and of the
+# 64-bit mask word: 0, 0, 5, 3, 5, 3, 0 and 2 padding bits
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 62, 63, 64, 65])
+def test_line_bits_of_a_block_match_a_row_by_row_decode(n):
+    rng = random.Random(n)
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    lines = [encode_graph6(edge_mask_to_graph(n, rng.getrandbits(nbits))) for _ in range(7)]
+    noisy = [_with_padding_bits(line, n, rng.randrange(1 << pad)) for line in lines]
+    assert [line for _, line in scan_stream(noisy)] == lines
+    for block in (lines, noisy):
+        bits = _line_bits(n, block)
+        assert bits.shape == (len(block), nbits)
+        assert bits.tolist() == [_line_bits(n, [line])[0].tolist() for line in block]
+        assert bits.tolist() == [_body_bits(line, n) for line in block]
 
 
 @given(_graphs_up_to_130(), st.integers(0, 31))

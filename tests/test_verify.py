@@ -8,8 +8,10 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from math import comb
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,7 +34,6 @@ from slmatch import (
     empty_graph,
     encode_graph6,
     extremal_h,
-    is_connected,
     join,
     run_exhaustive,
     run_random,
@@ -42,15 +43,22 @@ from slmatch import (
     sharpness_row,
 )
 from slmatch.errors import CapacityError
+from slmatch.generate import _BLOCK_BITS
+from slmatch.graph6 import _line_bits, _squares
 from slmatch.spectral import _KRYLOV_MIN_ORDER, MAX_DENSE_ORDER, q1
 from slmatch.verify import (
-    _BATCH_ENTRIES,
-    _CHUNKS_IN_FLIGHT_PER_JOB,
+    _BLOCKS_IN_FLIGHT_PER_JOB,
     JSONL_FIELDS,
     VerdictRecord,
-    _check_chunk,
-    _chunks,
+    _check_block,
 )
+
+
+def is_connected(G):
+    """Connectivity by networkx, an independent reference."""
+    H = nx.Graph(G.edges())
+    H.add_nodes_from(range(G.n))
+    return nx.is_connected(H)
 
 
 def test_check_graph_k4():
@@ -95,14 +103,17 @@ def test_check_graph_hypothesis_errors():
     assert (err.value.reason, str(err.value)) == ("order-too-small", message)
 
 
+_DISCONNECTED_6 = encode_graph6(build_graph(6, [(0, 1), (2, 3), (4, 5)]))
+
+
 def _mixed_order_stream():
-    """Runs of same-order graphs (the n=30 run is longer than one stacked
-    call holds) with odd-order, too-small and disconnected lines between."""
-    assert 25 * 30 * 30 > _BATCH_ENTRIES
+    """Runs of same-order graphs (the n=30 run is longer than one block
+    holds) with odd-order, too-small and disconnected lines between."""
+    assert 45 > _BLOCK_BITS // comb(30, 2)
     rng = random.Random(5)
-    bad = ["Bw", "A_", "C?", encode_graph6(build_graph(6, [(0, 1), (2, 3), (4, 5)]))]
+    bad = ["Bw", "A_", "C?", _DISCONNECTED_6]
     lines = []
-    for n, run in ((6, 40), (4, 3), (30, 25), (100, 9), (8, 1), (6, 7), (250, 2), (12, 50)):
+    for n, run in ((6, 40), (4, 3), (30, 45), (100, 9), (8, 1), (6, 7), (250, 2), (12, 50)):
         for G in sample_connected(n, 0.5, run, seed=rng.randrange(10**6)):
             lines.append(encode_graph6(G))
             if rng.random() < 0.2:
@@ -130,43 +141,68 @@ def test_batched_records_match_per_graph():
         assert got == want
 
 
+_K6, _K8 = encode_graph6(complete_graph(6)), encode_graph6(complete_graph(8))
+
+
 @pytest.mark.parametrize(
-    "orders, sizes",
+    "lines, decoded, checked, disconnected",
     [
-        ((6, 6, 8, 6), [2, 1, 1]),  # a new order starts a new chunk
-        ((30,) * 25, [18, 7]),  # 18 * 30^2 <= _BATCH_ENTRIES < 19 * 30^2
-        ((250, 250), [1, 1]),  # a graph above the bound is a chunk of its own
+        # a new order starts a new block
+        ([_K6, _K6, _K8, _K6], [2, 1, 1], [2, 1, 1], 0),
+        # a same-order run splits past _BLOCK_BITS // C(30, 2) = 37 lines
+        ([encode_graph6(complete_graph(30))] * 40, [37, 3], [37, 3], 0),
+        # one line per block once C(n, 2) > _BLOCK_BITS
+        ([encode_graph6(complete_graph(250))] * 2, [1, 1], [1, 1], 0),
+        # a block whose lines are all disconnected yields nothing
+        ([_DISCONNECTED_6] * 3 + [_K8], [3, 1], [1], 3),
     ],
 )
-def test_chunks_are_same_order_runs_within_the_batch_bound(orders, sizes):
-    items = [(complete_graph(n), None) for n in orders]
-    chunks = list(_chunks(items))
-    assert [len(chunk) for chunk in chunks] == sizes
-    assert all(len({G.n for G, _ in chunk}) == 1 for chunk in chunks)
-    assert [item for chunk in chunks for item in chunk] == items
+def test_stream_blocks_are_same_order_runs_within_the_block_bound(
+    monkeypatch, lines, decoded, checked, disconnected
+):
+    assert _BLOCK_BITS // comb(30, 2) == 37 and comb(250, 2) > _BLOCK_BITS
+    seen = {"decoded": [], "checked": []}
+
+    def bits(n, group):
+        seen["decoded"].append(len(group))
+        return _line_bits(n, group)
+
+    def check(square, block):
+        assert len(square) == len(block)
+        assert {decode_graph6(line).n for line in block} == {square.shape[-1]}
+        seen["checked"].append(len(block))
+        return _check_block(square, block)
+
+    monkeypatch.setattr(slmatch.verify, "_line_bits", bits)
+    monkeypatch.setattr(slmatch.verify, "_check_block", check)
+    summary = run_stream(lines)
+    assert seen == {"decoded": decoded, "checked": checked}
+    assert summary.checked == sum(checked)
+    assert summary.skipped == ({"disconnected": disconnected} if disconnected else {})
 
 
 def test_each_sweep_checks_connectivity_once(monkeypatch):
-    calls = []
+    rows = []
+    real = slmatch.verify._reaches_all
 
-    def counted(G):
-        calls.append(G.n)
-        return is_connected(G)
+    def counted(square):
+        rows.append(len(square))
+        return real(square)
 
     # every sweep source yields only connected graphs, so the sweeps leave
     # the hypothesis checks of check_graph out
-    monkeypatch.setattr(slmatch.verify, "is_connected", counted)
+    monkeypatch.setattr(slmatch.verify, "_reaches_all", counted)
     assert run_exhaustive(6).checked == 26704
     run_random(12, 0.85, 300, seed=5)
-    assert calls == []
+    assert rows == []
     summary = run_stream(_mixed_order_stream())
     assert summary.skipped["disconnected"] > 0
-    assert len(calls) == summary.checked + summary.skipped["disconnected"]
+    assert sum(rows) == summary.checked + summary.skipped["disconnected"]
 
 
 def test_parallel_jsonl_matches_serial_line_by_line():
-    # 1000 graphs of order 12 do not fill a whole number of chunks
-    assert 1000 % (_BATCH_ENTRIES // 144)
+    # 1000 graphs of order 12 do not fill a whole number of blocks
+    assert 1000 % (_BLOCK_BITS // 66)
     sinks = [io.StringIO(), io.StringIO()]
     for jobs, sink in zip((1, 2), sinks):
         run_random(12, 0.85, 1000, seed=17, out=sink, jobs=jobs)
@@ -208,9 +244,9 @@ sample = slmatch.verify._sample_with_graph6
 
 def counted(*args, **kwargs):
     global pulled
-    for item in sample(*args, **kwargs):
-        pulled += 1
-        yield item
+    for square, lines in sample(*args, **kwargs):
+        pulled += len(lines)
+        yield square, lines
 
 
 slmatch.verify._sample_with_graph6 = counted
@@ -238,7 +274,8 @@ except OSError as exc:
 def _parallel_sweep_stopped_by_sink(stop_at: int) -> int:
     """Run run_random(12, 0.85, 40000, 3, jobs=2) in a fresh interpreter,
     with a sink that stalls and then raises at line `stop_at`; return the
-    graphs pulled from the input by then.  A pool left waiting at shutdown
+    graphs pulled from the input by then, counted by the rows of each
+    pulled block.  A pool left waiting at shutdown
     fails the test by timeout instead of hanging the suite."""
     env = dict(os.environ, PYTHONPATH=str(Path(slmatch.__file__).parents[1]))
     done = subprocess.run(
@@ -256,11 +293,12 @@ def _parallel_sweep_stopped_by_sink(stop_at: int) -> int:
 
 def test_parallel_sweep_reads_a_bounded_window_of_input():
     pulled = _parallel_sweep_stopped_by_sink(stop_at=1)
-    # the first result is awaited once the window of chunks is pending; the
-    # graph that closed the last of them was read too
-    per_chunk = _BATCH_ENTRIES // (12 * 12)
-    window = _CHUNKS_IN_FLIGHT_PER_JOB * 2
-    assert 1 <= pulled <= window * per_chunk + 1
+    # the first result is awaited once the window of blocks is pending, each
+    # of at most _BLOCK_BITS // C(12, 2) = 248 samples, and no block is read
+    # while the sink stalls
+    per_block = _BLOCK_BITS // comb(12, 2)
+    window = _BLOCKS_IN_FLIGHT_PER_JOB * 2
+    assert 1 <= pulled <= window * per_block
 
 
 def test_parallel_sweep_with_a_failing_sink_raises_instead_of_hanging():
@@ -349,8 +387,9 @@ def test_records_above_the_krylov_order_carry_python_floats():
     n = _KRYLOV_MIN_ORDER + _KRYLOV_MIN_ORDER % 2
     dense = next(sample_connected(n, 0.5, 1, seed=3))
     path = build_graph(n, [(i, i + 1) for i in range(n - 1)])
-    chunk = [(G, encode_graph6(G)) for G in (dense, path)]
-    for record in _check_chunk(chunk) + [check_graph(dense), check_graph(path)]:
+    lines = [encode_graph6(G) for G in (dense, path)]
+    block = _check_block(_squares(n, _line_bits(n, lines)), lines)
+    for record in block + [check_graph(dense), check_graph(path)]:
         assert type(record.q1) is float
         payload = json.loads(record.to_json())
         assert payload["q1"] == record.q1
@@ -471,7 +510,7 @@ def test_run_stream_skips_by_order_before_decoding(monkeypatch):
     def refuse(line):
         raise AssertionError(f"decoded a line of length {len(line)}")
 
-    monkeypatch.setattr(slmatch.verify, "decode_graph6", refuse)
+    monkeypatch.setattr(slmatch.verify, "_line_bits", refuse)
     odd = encode_graph6(empty_graph(MAX_DENSE_ORDER + 3))
     above = encode_graph6(empty_graph(MAX_DENSE_ORDER + 2))
     summary = run_stream([odd, above, "A_", "?", above[:-1], above + "!"])

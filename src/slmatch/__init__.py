@@ -31,12 +31,7 @@ from .generate import all_connected, connected_graph_count, sample_connected
 from .graph import (
     Graph,
     build_graph,
-    complete_graph,
-    components,
     deficiency,
-    empty_graph,
-    extremal_h,
-    join,
     proof_graph,
 )
 from .graph6 import (
@@ -46,12 +41,7 @@ from .graph6 import (
     read_edge_list,
     scan_stream,
 )
-from .matching import (
-    MatchingResult,
-    has_perfect_matching,
-    maximum_matching,
-    tutte_berge_oracle,
-)
+from .matching import MatchingResult, maximum_matching
 from .proof_harness import (
     ProofInstance,
     PropertyReport,

@@ -1,9 +1,9 @@
 """Exhaustive and seeded-random generation of labelled connected graphs.
 
-Edge masks index vertex pairs in the same column-major order as the graph6
-codec, so any mask can be reported back as a graph6 line for reproduction.
-The enumeration and the sampler yield blocks: the (B, n, n) bool adjacency
-stack of the connected rows of a block of pair bits, and their graph6 lines.
+The enumeration and the sampler draw pair bits a block of graphs at a time,
+in the graph6 codec's column-major pair order, and yield blocks: the
+(B, n, n) bool adjacency stack of a block's connected rows, and their graph6
+lines, packed from the same bits.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError, SamplingError
 from .graph import Graph
-from .graph6 import _graph6_lines, _graphs, _squares, edge_bits, pair_index_order
+from .graph6 import _graph6_lines, _graphs, _squares
 
 _MAX_EXHAUSTIVE = 7
 
@@ -26,23 +26,6 @@ _MAX_EXHAUSTIVE = 7
 _BLOCK_BITS = 1 << 14
 
 _REJECTION_CAP = 10_000
-
-
-def edge_mask_to_graph(n: int, mask: int) -> Graph:
-    """Graph whose k-th pair (graph6 order) is an edge iff bit k of mask is
-    set, in time linear in the pair count: bin() reversed lists bit k at
-    index k."""
-    adj = [0] * n
-    for (i, j), bit in zip(pair_index_order(n), bin(mask)[:1:-1]):
-        if bit == "1":
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
-
-
-def graph_to_edge_mask(G: Graph) -> int:
-    """Inverse of edge_mask_to_graph, read off the graph6 adjacency bits."""
-    return int("0" + edge_bits(G)[::-1], 2)
 
 
 def _reaches_all(square: np.ndarray) -> np.ndarray:
@@ -65,7 +48,7 @@ _Block = tuple[np.ndarray, list[str]]  # a (B, n, n) bool stack, its B graph6 li
 
 def _connected_rows(n: int, blocks: Iterable[np.ndarray]) -> Iterator[_Block]:
     """The block of connected rows of each 0/1 matrix of order-n pair bits
-    in pair_index_order, left out when it has none."""
+    in graph6 pair order, left out when it has none."""
     for bits in blocks:
         square = _squares(n, bits)
         connected = _reaches_all(square)

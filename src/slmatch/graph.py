@@ -1,8 +1,9 @@
-"""Immutable simple graphs, their Tutte-Berge deficiency, and clique joins.
+"""Immutable simple graphs, their Tutte-Berge deficiency, and the proof's
+clique-join graphs K_s v (K_n1 u ... u K_nk).
 
 Vertices are always labelled 0..n-1.  Adjacency is stored as one bitmask int
 per vertex, so graphs are hashable value objects and component/subset work is
-cheap integer arithmetic.  All structural operations return new graphs.
+cheap integer arithmetic.
 """
 
 from __future__ import annotations
@@ -105,12 +106,6 @@ def component_masks(adj: tuple[int, ...], mask: int) -> Iterator[int]:
         remaining &= ~comp
 
 
-def components(G: Graph) -> list[tuple[int, ...]]:
-    """Vertex lists of the connected components, each sorted."""
-    full = (1 << G.n) - 1
-    return [tuple(_bits(m)) for m in component_masks(G._adj, full)]
-
-
 def deficiency(G: Graph, S: Iterable[int]) -> int:
     """Tutte-Berge deficiency o(G - S) - |S| of the vertex set S, counted on
     the adjacency masks without building G - S."""
@@ -122,28 +117,6 @@ def deficiency(G: Graph, S: Iterable[int]) -> int:
     rest = ((1 << G.n) - 1) & ~smask
     odd = sum(m.bit_count() & 1 for m in component_masks(G._adj, rest))
     return odd - smask.bit_count()
-
-
-def join(G1: Graph, G2: Graph) -> Graph:
-    """Disjoint union plus every edge between the two vertex sets."""
-    n1, n2 = G1.n, G2.n
-    left = (1 << n1) - 1
-    right = ((1 << n2) - 1) << n1
-    adj = [m | right for m in G1._adj] + [(m << n1) | left for m in G2._adj]
-    return Graph(n1 + n2, tuple(adj))
-
-
-def complete_graph(m: int) -> Graph:
-    if m < 0:
-        raise InputError("order must be nonnegative")
-    full = (1 << m) - 1
-    return Graph(m, tuple(full ^ (1 << v) for v in range(m)))
-
-
-def empty_graph(m: int) -> Graph:
-    if m < 0:
-        raise InputError("order must be nonnegative")
-    return Graph(m, (0,) * m)
 
 
 def proof_graph(s: int, parts: Iterable[int]) -> Graph:
@@ -171,13 +144,3 @@ def proof_graph(s: int, parts: Iterable[int]) -> Graph:
         start += p
     return Graph(n, tuple(adj))
 
-
-def extremal_h(n: int) -> Graph:
-    """One hub joined to K_{n-3} plus two pendant vertices.
-
-    Vertex 0 is the hub, 1..n-3 the clique, n-2 and n-1 the pendants.
-    Edge count is exactly n^2/2 - 5n/2 + 5.
-    """
-    if not (isinstance(n, int) and n >= 4):
-        raise InputError(f"order must be an integer >= 4, got {n!r}")
-    return proof_graph(1, (n - 3, 1, 1))

@@ -39,13 +39,8 @@ _FROM_GRAPH6 = bytes.maketrans(_GRAPH6_BYTES, _BASE64_BYTES)
 _GROUP_BITS = 24
 
 
-def pair_index_order(n: int) -> list[tuple[int, int]]:
-    """Vertex pairs (i, j), i < j, in graph6 column-major bit order."""
-    return [(i, j) for j in range(1, n) for i in range(j)]
-
-
 def edge_bits(G: Graph) -> str:
-    """The adjacency bits of G in pair_index_order, as "0"/"1" characters."""
+    """The adjacency bits of G in graph6 pair order, as "0"/"1" characters."""
     # column j of the upper triangle is the low j bits of adjacency mask j,
     # from bit 0 up: bin() of them with a marker bit j, read backwards and
     # stopped before the marker
@@ -82,7 +77,7 @@ def encode_graph6(G: Graph) -> str:
 
 def _graph6_lines(n: int, bits: np.ndarray) -> list[str]:
     """Canonical graph6 lines of order-n graphs, one per row of `bits`, a
-    0/1 matrix of the pair bits in pair_index_order."""
+    0/1 matrix of the pair bits in graph6 pair order."""
     prefix = _order_prefix(n)
     pad = -bits.shape[1] % _GROUP_BITS
     raw = np.packbits(np.pad(bits, ((0, 0), (0, pad))), axis=1).tobytes()
@@ -129,7 +124,7 @@ def _parse_header(line: str) -> int:
 
 def _squares(n: int, bits: np.ndarray) -> np.ndarray:
     """Adjacency matrices of order-n graphs, a (B, n, n) bool stack, from a
-    (B, C(n, 2)) 0/1 matrix of their pair bits in pair_index_order: column j
+    (B, C(n, 2)) 0/1 matrix of their pair bits in graph6 pair order: column j
     of the upper triangle is copied into row j, then mirrored."""
     square = np.zeros((len(bits), n, n), dtype=bool)
     for j in range(1, n):
@@ -153,7 +148,7 @@ def _graphs(square: np.ndarray) -> list[Graph]:
 
 def _line_bits(n: int, lines: list[str]) -> np.ndarray:
     """Pair bits of well-formed order-n graph6 lines, a (B, C(n, 2)) 0/1
-    matrix in pair_index_order: each body, padded with "?" (graph6's zero
+    matrix in graph6 pair order: each body, padded with "?" (graph6's zero
     digit, base64's "A") to whole 4-digit groups, goes through one b64decode."""
     start = len(_order_prefix(n))
     nbits = n * (n - 1) // 2

@@ -1,4 +1,4 @@
-"""Maximum matchings, perfect-matching tests, and deficiency witnesses.
+"""Maximum matchings and deficiency witnesses.
 
 The workhorse is an augmenting-path search with blossom contraction (O(n^3))
 that runs on the adjacency bitmasks the graph already stores: the greedy warm
@@ -11,17 +11,13 @@ absorbs, not in n; the absorbed vertices are relabelled in increasing order,
 the order a scan over every vertex would give.  Once the matching is
 maximum, one extra labelling pass started from every exposed vertex splits
 the vertices into outer / inner / unreached; the inner set S maximises
-o(G-S) - |S| and certifies the deficiency.  A subset enumeration oracle gives
-an independent check for small graphs.
+o(G-S) - |S| and certifies the deficiency.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
-
-from .errors import CapacityError
 from .graph import Graph, _bits, deficiency
 
 _NONE = -1
@@ -160,25 +156,3 @@ def _deficiency_witness(G: Graph, adj, match) -> tuple[int, ...]:
     outer, parent = _search(adj, G.n, match, exposed, augment=False)
     return tuple(v for v in range(G.n) if parent[v] != _NONE and not outer[v])
 
-
-def has_perfect_matching(G: Graph) -> bool:
-    """True iff a matching covers every vertex (always false for odd order)."""
-    return 2 * maximum_matching(G).size == G.n
-
-
-def tutte_berge_oracle(G: Graph) -> tuple[int, tuple[int, ...]]:
-    """Brute-force max of o(G-S) - |S| over all vertex subsets S.
-
-    Subsets are enumerated by size then lexicographically; the first maximiser
-    is returned.  Exponential: refuses n > 20.
-    """
-    n = G.n
-    if n > 20:
-        raise CapacityError(f"subset enumeration limited to n <= 20, got {n}")
-    best, best_set = -1, ()
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            d = deficiency(G, combo)
-            if d > best:
-                best, best_set = d, combo
-    return best, best_set

@@ -11,24 +11,23 @@ import time
 import numpy as np
 import pytest
 
+from _reference import complete_graph, edge_mask_to_graph, join, tutte_berge_oracle
 from slmatch import (
     all_connected,
+    build_graph,
     check_case_analysis,
     check_h_bound,
     check_merge_singletons,
     check_root_bounds,
     check_vertex_shift,
     closed_form_r,
-    complete_graph,
     connected_graph_count,
     decode_graph6,
     edge_threshold,
-    empty_graph,
     encode_graph6,
     exhaustive_instances,
-    extremal_h,
-    join,
     maximum_matching,
+    proof_graph,
     q1,
     q1_threshold,
     r_of_n,
@@ -39,9 +38,7 @@ from slmatch import (
     sharpness_row,
     signless_laplacians,
     spectral_radius,
-    tutte_berge_oracle,
 )
-from slmatch.generate import edge_mask_to_graph
 from slmatch.proof_harness import ProofInstance
 
 
@@ -62,10 +59,11 @@ def exhaustive_runs():
 def test_criterion_1_sharpness_reproduction(nx_odd_components):
     start = time.perf_counter()
     ok = all(
-        abs(q1(extremal_h(n)) - r_of_n(n)) <= 1e-8 for n in (4, 10, 12, 20, 50, 100)
+        abs(q1(proof_graph(1, (n - 3, 1, 1))) - r_of_n(n)) <= 1e-8
+        for n in (4, 10, 12, 20, 50, 100)
     )
-    ok &= abs(q1(join(complete_graph(2), empty_graph(4))) - (4 + 2 * math.sqrt(3))) <= 1e-10
-    ok &= abs(q1(join(complete_graph(3), empty_graph(5))) - (6 + 2 * math.sqrt(6))) <= 1e-10
+    ok &= abs(q1(join(complete_graph(2), build_graph(4, []))) - (4 + 2 * math.sqrt(3))) <= 1e-10
+    ok &= abs(q1(join(complete_graph(3), build_graph(5, []))) - (6 + 2 * math.sqrt(6))) <= 1e-10
     for n in (4, 6, 8, 10, 12, 20, 50, 100):
         row = sharpness_row(n)
         witness = row.record.witness
@@ -101,11 +99,11 @@ def test_criterion_3_exhaustive_theorem_check(exhaustive_runs):
 def test_criterion_4_edge_theorem_sharpness(exhaustive_runs):
     summaries, _ = exhaustive_runs
     ok = all(
-        extremal_h(n).edge_count == n * n // 2 - 5 * n // 2 + 5
+        proof_graph(1, (n - 3, 1, 1)).edge_count == n * n // 2 - 5 * n // 2 + 5
         for n in range(4, 201, 2)
     )
-    ok &= join(complete_graph(2), empty_graph(4)).edge_count == 9
-    ok &= join(complete_graph(3), empty_graph(5)).edge_count == 18
+    ok &= join(complete_graph(2), build_graph(4, [])).edge_count == 9
+    ok &= join(complete_graph(3), build_graph(5, [])).edge_count == 18
     ok &= not summaries[4].edge_violations
     ok &= not summaries[6].edge_violations
     _report(4, "edge-theorem-sharpness", ok)
@@ -113,12 +111,12 @@ def test_criterion_4_edge_theorem_sharpness(exhaustive_runs):
 
 def test_criterion_5_quotient_equality_suite(exact_quotient):
     cases = [
-        (extremal_h(n), [list(range(1, n - 2)), [0], [n - 2, n - 1]])
+        (proof_graph(1, (n - 3, 1, 1)), [list(range(1, n - 2)), [0], [n - 2, n - 1]])
         for n in range(4, 41, 2)
     ]
     cases += [
-        (join(complete_graph(2), empty_graph(4)), [[0, 1], [2, 3, 4, 5]]),
-        (join(complete_graph(3), empty_graph(5)), [[0, 1, 2], [3, 4, 5, 6, 7]]),
+        (join(complete_graph(2), build_graph(4, [])), [[0, 1], [2, 3, 4, 5]]),
+        (join(complete_graph(3), build_graph(5, [])), [[0, 1, 2], [3, 4, 5, 6, 7]]),
     ]
     cases += [
         (inst.graph(), np.split(np.arange(inst.n), np.cumsum((inst.s,) + inst.parts[:-1])))

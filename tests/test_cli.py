@@ -12,10 +12,9 @@ from types import SimpleNamespace
 import pytest
 
 import slmatch
+from _reference import complete_graph
 from slmatch import (
     build_graph,
-    complete_graph,
-    empty_graph,
     encode_graph6,
     errors,
     proof_harness,
@@ -530,7 +529,7 @@ def test_bad_graph6_exits_2():
 
 
 def test_q1_above_the_dense_order_cap_exits_2():
-    line = encode_graph6(empty_graph(MAX_DENSE_ORDER + 1))
+    line = encode_graph6(build_graph(MAX_DENSE_ORDER + 1, []))
     assert run_cli(["q1", "--graph6", line])[0] == 2
 
 

@@ -7,13 +7,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from _reference import complete_graph, edge_mask_to_graph, graph_to_edge_mask, pair_index_order
 from slmatch import (
     CapacityError,
     InputError,
     SamplingError,
     all_connected,
     build_graph,
-    complete_graph,
     connected_graph_count,
     sample_connected,
 )
@@ -23,11 +23,9 @@ from slmatch.generate import (
     _connected_with_graph6,
     _reaches_all,
     _sample_with_graph6,
-    edge_mask_to_graph,
-    graph_to_edge_mask,
 )
 from slmatch.graph import Graph
-from slmatch.graph6 import _squares, decode_graph6, edge_bits, encode_graph6, pair_index_order
+from slmatch.graph6 import _squares, decode_graph6, edge_bits, encode_graph6
 
 
 def is_connected(G):

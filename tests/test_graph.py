@@ -9,23 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slmatch import (
-    InputError,
-    build_graph,
-    complete_graph,
-    components,
-    deficiency,
-    empty_graph,
-    extremal_h,
-    join,
-    proof_graph,
-    tutte_berge_oracle,
-)
+from _reference import complete_graph, join, tutte_berge_oracle
+from slmatch import InputError, build_graph, deficiency, proof_graph, sharpness_graph
+from slmatch.graph import component_masks
 
 
 def _disjoint_union(G1, G2):
     shifted = [(u + G1.n, v + G1.n) for u, v in G2.edges()]
     return build_graph(G1.n + G2.n, G1.edges() + shifted)
+
+
+def _h(n):
+    """H_n = K1 v (K_{n-3} u 2K1): vertex 0 is the hub, 1..n-3 the clique,
+    n-2 and n-1 the pendants."""
+    return proof_graph(1, (n - 3, 1, 1))
 
 
 def _random_graph(rng, n, p):
@@ -80,16 +77,17 @@ def test_graphs_are_value_objects():
 
 def test_delete_hub_of_h10(nx_odd_components):
     # without its hub, H10 is K7 and two isolated vertices
-    assert nx_odd_components(extremal_h(10), {0}) == 3
-    assert deficiency(extremal_h(10), {0}) == 2
+    assert nx_odd_components(_h(10), {0}) == 3
+    assert deficiency(_h(10), {0}) == 2
 
 
 def test_odd_components(cycle6):
     # the deficiency of the empty set counts the odd components
     assert deficiency(cycle6, ()) == 0
-    assert deficiency(empty_graph(3), ()) == 3
+    assert deficiency(build_graph(3, []), ()) == 3
     G = build_graph(9, complete_graph(7).edges())
-    assert sorted(len(c) for c in components(G)) == [1, 1, 7]
+    components = component_masks(G.adjacency_masks(), (1 << G.n) - 1)
+    assert sorted(c.bit_count() for c in components) == [1, 1, 7]
     assert deficiency(G, ()) == 3
 
 
@@ -117,9 +115,9 @@ def test_deficiency_rejects_outsiders(cycle6):
 
 
 def test_join_edge_counts():
-    G = join(complete_graph(2), empty_graph(4))
+    G = join(complete_graph(2), build_graph(4, []))
     assert G.n == 6 and G.edge_count == 9
-    G = join(complete_graph(3), empty_graph(5))
+    G = join(complete_graph(3), build_graph(5, []))
     assert G.n == 8 and G.edge_count == 18
     assert join(complete_graph(1), complete_graph(1)) == complete_graph(2)
 
@@ -138,11 +136,10 @@ def test_proof_graph_star():
 
 
 def test_proof_graph_matches_join_constructions():
-    assert proof_graph(2, [1, 1, 1, 1]) == join(complete_graph(2), empty_graph(4))
-    assert proof_graph(1, [7, 1, 1]) == extremal_h(10)
+    assert proof_graph(2, [1, 1, 1, 1]) == join(complete_graph(2), build_graph(4, []))
     for n in range(4, 41):
         pendants = build_graph(n - 1, complete_graph(n - 3).edges())
-        assert extremal_h(n) == join(complete_graph(1), pendants)
+        assert _h(n) == join(complete_graph(1), pendants)
 
 
 @settings(max_examples=200, deadline=None)
@@ -179,18 +176,20 @@ def test_proof_graph_validation():
 
 
 def test_extremal_h_smallest_is_a_star():
-    H4 = extremal_h(4)
+    H4 = _h(4)
     assert H4 == build_graph(4, [(0, 1), (0, 2), (0, 3)])
     assert H4.edge_count == 3
 
 
 def test_extremal_h_edge_count_formula():
     for n in range(4, 201, 2):
-        assert extremal_h(n).edge_count == (n * n - 5 * n + 10) // 2
+        assert _h(n).edge_count == (n * n - 5 * n + 10) // 2
+        if n >= 10:  # the sharpness graph from order 10 on
+            assert sharpness_graph(n) == _h(n)
 
 
 def test_extremal_h_structure():
-    H = extremal_h(10)
+    H = sharpness_graph(10)
     assert H.degree(0) == 9  # hub adjacent to everything
     assert all(H.degree(v) == 7 for v in range(1, 8))  # clique + hub
     assert H.degree(8) == 1 and H.degree(9) == 1  # pendants
@@ -199,10 +198,11 @@ def test_extremal_h_structure():
 
 def test_extremal_h_hub_is_a_tutte_witness():
     for n in (4, 6, 12):
-        deficiency, witness = tutte_berge_oracle(extremal_h(n))
+        deficiency, witness = tutte_berge_oracle(_h(n))
         assert deficiency == 2 and witness == (0,)
 
 
 def test_extremal_h_rejects_small_orders():
+    # H_3 would need a clique of order 0
     with pytest.raises(InputError):
-        extremal_h(3)
+        _h(3)

@@ -7,21 +7,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _reference import complete_graph, edge_mask_to_graph
 from slmatch import (
     CapacityError,
     Graph6ParseError,
     InputError,
     ParseFailure,
     build_graph,
-    complete_graph,
     decode_graph6,
-    empty_graph,
     encode_graph6,
-    extremal_h,
+    proof_graph,
     read_edge_list,
     scan_stream,
 )
-from slmatch.generate import edge_mask_to_graph
 from slmatch.graph6 import _line_bits
 from slmatch.spectral import MAX_DENSE_ORDER
 
@@ -29,20 +27,20 @@ from slmatch.spectral import MAX_DENSE_ORDER
 def test_decode_hand_packed_values():
     assert decode_graph6("C~") == complete_graph(4)
     assert decode_graph6("Bg") == build_graph(3, [(0, 1), (1, 2)])
-    assert decode_graph6("@") == empty_graph(1)
+    assert decode_graph6("@") == build_graph(1, [])
 
 
 def test_encode_hand_packed_values():
     assert encode_graph6(complete_graph(4)) == "C~"
     assert encode_graph6(build_graph(3, [(0, 1), (1, 2)])) == "Bg"
-    assert encode_graph6(empty_graph(1)) == "@"
+    assert encode_graph6(build_graph(1, [])) == "@"
 
 
 def test_star_roundtrip_degree_sequence():
-    line = encode_graph6(extremal_h(4))
+    line = encode_graph6(proof_graph(1, (1, 1, 1)))
     back = decode_graph6(line)
     assert sorted(back.degrees(), reverse=True) == [3, 1, 1, 1]
-    assert back == extremal_h(4)
+    assert back == proof_graph(1, (1, 1, 1))
 
 
 def test_decode_rejects_bytes_outside_range():
@@ -113,7 +111,7 @@ def _graphs_up_to_130(draw):
 
 
 @given(_graphs_up_to_130())
-@example(empty_graph(0))
+@example(build_graph(0, []))
 @example(complete_graph(62))
 @example(complete_graph(63))
 @settings(max_examples=300, deadline=None)

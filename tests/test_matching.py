@@ -7,21 +7,16 @@ import random
 import networkx as nx
 import pytest
 
+from _reference import complete_graph, join, tutte_berge_oracle
 from slmatch import (
     CapacityError,
     all_connected,
     build_graph,
-    complete_graph,
     deficiency,
-    empty_graph,
     encode_graph6,
-    extremal_h,
-    has_perfect_matching,
-    join,
     maximum_matching,
     proof_graph,
     sample_connected,
-    tutte_berge_oracle,
 )
 
 
@@ -56,17 +51,22 @@ def test_matching_edges_are_disjoint_graph_edges():
 
 
 def test_has_perfect_matching():
-    assert has_perfect_matching(complete_graph(4))
-    assert not has_perfect_matching(complete_graph(3))  # odd order
-    assert not has_perfect_matching(join(complete_graph(2), empty_graph(4)))
-    for n in (4, 6, 8, 14):
-        assert not has_perfect_matching(extremal_h(n))
+    # a perfect matching covers every vertex, and only then is there no witness
+    cases = [
+        (complete_graph(4), True),
+        (complete_graph(3), False),  # odd order
+        (join(complete_graph(2), build_graph(4, [])), False),
+    ] + [(proof_graph(1, (n - 3, 1, 1)), False) for n in (4, 6, 8, 14)]
+    for G, perfect in cases:
+        result = maximum_matching(G)
+        assert (2 * result.size == G.n) == perfect
+        assert (result.witness is None) == perfect
 
 
 def test_witness_certifies_deficiency(nx_odd_components):
     candidates = [
-        extremal_h(8),
-        join(complete_graph(3), empty_graph(5)),
+        proof_graph(1, (5, 1, 1)),
+        join(complete_graph(3), build_graph(5, [])),
         complete_graph(5),
         build_graph(4, [(0, 1), (0, 2), (0, 3)]),
     ]
@@ -83,13 +83,13 @@ def test_tutte_berge_oracle_examples():
     assert deficiency == 0 and witness == ()
     deficiency, witness = tutte_berge_oracle(build_graph(4, [(0, 1), (0, 2), (0, 3)]))
     assert deficiency == 2 and witness == (0,)
-    deficiency, witness = tutte_berge_oracle(join(complete_graph(3), empty_graph(5)))
+    deficiency, witness = tutte_berge_oracle(join(complete_graph(3), build_graph(5, [])))
     assert deficiency == 2 and witness == (0, 1, 2)
 
 
 def test_tutte_berge_oracle_capacity():
     with pytest.raises(CapacityError):
-        tutte_berge_oracle(empty_graph(21))
+        tutte_berge_oracle(build_graph(21, []))
 
 
 def test_tutte_berge_agreement_exhaustive_small():

@@ -15,18 +15,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slmatch
+from _reference import complete_graph, edge_mask_to_graph, join
 from slmatch import (
     InputError,
     NumericalError,
     build_graph,
     char_poly,
     closed_form_r,
-    complete_graph,
     edge_threshold,
-    empty_graph,
-    extremal_h,
-    join,
     polyval,
+    proof_graph,
     q1,
     q1_threshold,
     r_of_n,
@@ -35,7 +33,6 @@ from slmatch import (
     spectral_radius,
 )
 from slmatch import spectral
-from slmatch.generate import edge_mask_to_graph
 
 
 def test_signless_laplacian_path(path3):
@@ -67,7 +64,7 @@ def graphs(draw, max_order=70):
 @example(complete_graph(9))
 @example(complete_graph(64))
 @example(complete_graph(65))
-@example(extremal_h(65))
+@example(proof_graph(1, (62, 1, 1)))
 @settings(max_examples=60, deadline=None)
 @given(graphs())
 def test_signless_laplacian_matches_edge_list(G):
@@ -147,22 +144,22 @@ def test_spectral_radius_input_validation():
 
 
 def test_quotient_matrix_join_families(exact_quotient):
-    Q = signless_laplacians([join(complete_graph(2), empty_graph(4))])[0]
+    Q = signless_laplacians([join(complete_graph(2), build_graph(4, []))])[0]
     C = exact_quotient(Q, [[0, 1], [2, 3, 4, 5]])
     assert C.tolist() == [[6, 4], [2, 2]]
-    Q = signless_laplacians([join(complete_graph(3), empty_graph(5))])[0]
+    Q = signless_laplacians([join(complete_graph(3), build_graph(5, []))])[0]
     C = exact_quotient(Q, [[0, 1, 2], [3, 4, 5, 6, 7]])
     assert C.tolist() == [[9, 5], [3, 3]]
 
 
 def _h_partition(n):
-    # clique class, hub class, pendant class in the extremal_h vertex layout
+    # clique class, hub class, pendant class of proof_graph(1, (n - 3, 1, 1))
     return [list(range(1, n - 2)), [0], [n - 2, n - 1]]
 
 
 def test_quotient_matrix_extremal_family(exact_quotient):
     for n in (6, 10, 14):
-        Q = signless_laplacians([extremal_h(n)])[0]
+        Q = signless_laplacians([proof_graph(1, (n - 3, 1, 1))])[0]
         C = exact_quotient(Q, _h_partition(n))
         expected = [
             [2 * n - 7, 1, 0],
@@ -173,17 +170,17 @@ def test_quotient_matrix_extremal_family(exact_quotient):
 
 
 def test_is_equitable(path3, exact_quotient):
-    Q = signless_laplacians([extremal_h(10)])[0]
+    Q = signless_laplacians([proof_graph(1, (7, 1, 1))])[0]
     assert exact_quotient(Q, _h_partition(10)) is not None
     assert exact_quotient(signless_laplacians([path3])[0], [[0, 1], [2]]) is None
 
 
 def test_equitable_quotient_shares_spectral_radius(exact_quotient):
     cases = [
-        (join(complete_graph(2), empty_graph(4)), [[0, 1], [2, 3, 4, 5]]),
-        (join(complete_graph(3), empty_graph(5)), [[0, 1, 2], [3, 4, 5, 6, 7]]),
-        (extremal_h(12), _h_partition(12)),
-        (extremal_h(30), _h_partition(30)),
+        (join(complete_graph(2), build_graph(4, [])), [[0, 1], [2, 3, 4, 5]]),
+        (join(complete_graph(3), build_graph(5, [])), [[0, 1, 2], [3, 4, 5, 6, 7]]),
+        (proof_graph(1, (9, 1, 1)), _h_partition(12)),
+        (proof_graph(1, (27, 1, 1)), _h_partition(30)),
     ]
     for G, partition in cases:
         Q = signless_laplacians([G])[0]
@@ -353,7 +350,7 @@ def test_closed_form_discriminant_is_27_times_an_integer_polynomial():
 
 def test_extremal_family_attains_edge_threshold():
     for n in [4] + list(range(10, 41, 2)):
-        assert extremal_h(n).edge_count == edge_threshold(n)
+        assert proof_graph(1, (n - 3, 1, 1)).edge_count == edge_threshold(n)
 
 
 # --- symmetric matrices at and above spectral._KRYLOV_MIN_ORDER: Lanczos with

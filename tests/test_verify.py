@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slmatch
+from _reference import complete_graph, join
 from slmatch import (
     EPSILON,
     HypothesisError,
@@ -29,12 +30,9 @@ from slmatch import (
     all_connected,
     build_graph,
     check_graph,
-    complete_graph,
     decode_graph6,
-    empty_graph,
     encode_graph6,
-    extremal_h,
-    join,
+    proof_graph,
     run_exhaustive,
     run_random,
     run_stream,
@@ -72,7 +70,7 @@ def test_check_graph_k4():
 
 
 def test_check_graph_below_threshold():
-    record = check_graph(extremal_h(6))
+    record = check_graph(proof_graph(1, (3, 1, 1)))
     assert record.verdict == VERDICT_HYPOTHESIS
     assert not record.has_pm
     assert record.witness == (0,)
@@ -80,7 +78,7 @@ def test_check_graph_below_threshold():
 
 
 def test_check_graph_boundary_is_not_a_counterexample():
-    record = check_graph(join(complete_graph(2), empty_graph(4)))
+    record = check_graph(join(complete_graph(2), build_graph(4, [])))
     assert record.verdict == VERDICT_BOUNDARY
     assert not record.has_pm
     assert record.witness == (0, 1)
@@ -119,7 +117,7 @@ def _mixed_order_stream():
             if rng.random() < 0.2:
                 lines.append(rng.choice(bad))
         if n > 12:
-            lines.append(encode_graph6(extremal_h(n)))  # no perfect matching
+            lines.append(encode_graph6(proof_graph(1, (n - 3, 1, 1))))  # no perfect matching
     return lines
 
 
@@ -307,8 +305,8 @@ def test_parallel_sweep_with_a_failing_sink_raises_instead_of_hanging():
 
 def test_orders_above_the_dense_cap_are_skipped_or_refused():
     # even and disconnected: the cap is checked before connectivity
-    above = encode_graph6(empty_graph(MAX_DENSE_ORDER + 2))
-    at_cap = encode_graph6(empty_graph(MAX_DENSE_ORDER))
+    above = encode_graph6(build_graph(MAX_DENSE_ORDER + 2, []))
+    at_cap = encode_graph6(build_graph(MAX_DENSE_ORDER, []))
     summary = run_stream([above, at_cap, "C~"])
     assert summary.checked == 1
     assert summary.skipped == {"order-too-large": 1, "disconnected": 1}
@@ -316,7 +314,7 @@ def test_orders_above_the_dense_cap_are_skipped_or_refused():
     with pytest.raises(CapacityError):
         check_graph(star)
     with pytest.raises(CapacityError):
-        q1(empty_graph(MAX_DENSE_ORDER + 1))
+        q1(build_graph(MAX_DENSE_ORDER + 1, []))
 
 
 def test_check_graph_refuses_a_large_order_before_encoding(monkeypatch):
@@ -331,8 +329,8 @@ def test_check_graph_refuses_a_large_order_before_encoding(monkeypatch):
 
 
 def test_check_graph_deterministic():
-    a = check_graph(extremal_h(12))
-    b = check_graph(extremal_h(12))
+    a = check_graph(proof_graph(1, (9, 1, 1)))
+    b = check_graph(proof_graph(1, (9, 1, 1)))
     assert a == b  # bitwise-identical floats included
 
 
@@ -361,7 +359,7 @@ _RECORDS = st.builds(
 
 
 def test_jsonl_field_order_and_types():
-    record = check_graph(extremal_h(6))
+    record = check_graph(proof_graph(1, (3, 1, 1)))
     payload = json.loads(record.to_json())
     assert list(payload.keys()) == list(JSONL_FIELDS)
     assert payload["witness"] == [0]
@@ -404,7 +402,7 @@ def test_to_json_is_json_dumps_of_to_dict(record):
 
 
 def test_witness_recomputation_invariant(nx_odd_components):
-    for G in (extremal_h(8), join(complete_graph(3), empty_graph(5))):
+    for G in (proof_graph(1, (5, 1, 1)), join(complete_graph(3), build_graph(5, []))):
         record = check_graph(G)
         assert not record.has_pm
         short = nx_odd_components(G, record.witness) - len(record.witness)
@@ -439,8 +437,8 @@ def test_run_exhaustive_rejects_other_orders():
 
 
 def test_run_stream_mixed_input():
-    k2e4 = encode_graph6(join(complete_graph(2), empty_graph(4)))
-    k3e5 = encode_graph6(join(complete_graph(3), empty_graph(5)))
+    k2e4 = encode_graph6(join(complete_graph(2), build_graph(4, [])))
+    k3e5 = encode_graph6(join(complete_graph(3), build_graph(5, [])))
     lines = [
         ">>graph6<<",
         "C~",  # K4: conclusion holds
@@ -511,8 +509,8 @@ def test_run_stream_skips_by_order_before_decoding(monkeypatch):
         raise AssertionError(f"decoded a line of length {len(line)}")
 
     monkeypatch.setattr(slmatch.verify, "_line_bits", refuse)
-    odd = encode_graph6(empty_graph(MAX_DENSE_ORDER + 3))
-    above = encode_graph6(empty_graph(MAX_DENSE_ORDER + 2))
+    odd = encode_graph6(build_graph(MAX_DENSE_ORDER + 3, []))
+    above = encode_graph6(build_graph(MAX_DENSE_ORDER + 2, []))
     summary = run_stream([odd, above, "A_", "?", above[:-1], above + "!"])
     assert summary.checked == 0
     assert summary.skipped == {
@@ -524,7 +522,7 @@ def test_run_stream_skips_by_order_before_decoding(monkeypatch):
 
 
 def test_run_stream_skips_an_oversized_line_in_memory_bounded_by_the_line():
-    line = encode_graph6(empty_graph(MAX_DENSE_ORDER + 2)) + "\n"
+    line = encode_graph6(build_graph(MAX_DENSE_ORDER + 2, [])) + "\n"
     tracemalloc.start()
     try:
         summary = run_stream([line])
@@ -593,16 +591,16 @@ def test_parallel_matches_serial():
 
 
 def test_sharpness_graph_selection():
-    assert sharpness_graph(6) == join(complete_graph(2), empty_graph(4))
-    assert sharpness_graph(8) == join(complete_graph(3), empty_graph(5))
-    assert sharpness_graph(4) == extremal_h(4)
-    assert sharpness_graph(20) == extremal_h(20)
+    assert sharpness_graph(6) == join(complete_graph(2), build_graph(4, []))
+    assert sharpness_graph(8) == join(complete_graph(3), build_graph(5, []))
+    assert sharpness_graph(4) == proof_graph(1, (1, 1, 1))
+    assert sharpness_graph(20) == proof_graph(1, (17, 1, 1))
     with pytest.raises(InputError):
         sharpness_graph(7)
     # the combinator constructions of K2 v 4K1, K3 v 5K1 and K1 v (K_{n-3} u 2K1)
     for n in range(4, 41, 2):
         if n in (6, 8):
-            expected = join(complete_graph(n // 2 - 1), empty_graph(n // 2 + 1))
+            expected = join(complete_graph(n // 2 - 1), build_graph(n // 2 + 1, []))
         else:
             pendants = build_graph(n - 1, complete_graph(n - 3).edges())
             expected = join(complete_graph(1), pendants)
